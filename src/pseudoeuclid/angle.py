@@ -5,6 +5,11 @@ full plane (minus the null lines y = +-x) needs an extra label: one of the
 four unit numbers +1, +h, -1, -h, which form a Klein four-group under
 multiplication.  A pair (theta, k) reaches every non-null direction exactly
 once, and the extended cosine/sine below are total on those pairs.
+
+Both parts are plainest in the null coordinates u = x + y, w = x - y, where
+the product of split-complex numbers is componentwise.  The index is the sign
+pair (sgn u, sgn w), so the group product is sign multiplication, and
+theta = 1/2 log|u/w| in every sector.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import NullDirection, OverflowingAngle
-from .tol import null_eps, quadratic_form
+from .tol import is_null_xy, null_eps
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hypnum import HyperbolicNumber
@@ -25,12 +30,19 @@ THETA_MAX = 350.0
 
 
 class KleinIndex(Enum):
-    """The four unit directions +1, +h, -1, -h."""
+    """The four unit directions +1, +h, -1, -h, with the signs (sgn u, sgn w)
+    of their null coordinates."""
 
-    P1 = "+1"
-    H = "+h"
-    M1 = "-1"
-    MH = "-h"
+    P1 = ("+1", 1.0, 1.0)
+    H = ("+h", 1.0, -1.0)
+    M1 = ("-1", -1.0, -1.0)
+    MH = ("-h", -1.0, 1.0)
+
+    def __new__(cls, label: str, su: float, sw: float) -> "KleinIndex":
+        member = object.__new__(cls)
+        member._value_ = label
+        member.signs = (su, sw)
+        return member
 
     def __mul__(self, other: "KleinIndex") -> "KleinIndex":
         return _KLEIN_TABLE[(self, other)]
@@ -41,32 +53,25 @@ class KleinIndex(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "KleinIndex":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ValueError(f"unknown Klein index label {label!r}")
+        return cls(label)
 
     @property
     def unit(self) -> tuple[float, float]:
         """Component pair of the unit number this index stands for."""
-        return _KLEIN_UNITS[self]
+        su, sw = self.signs
+        return (su + sw) / 2.0, (su - sw) / 2.0
+
+    @property
+    def kappa(self) -> float:
+        """+1 for the proper indices +-1, -1 for +-h: the sign of D on the sector."""
+        return self.signs[0] * self.signs[1]
 
 
-# The group table is written out in full rather than derived from sign
-# arithmetic, so group facts (closure, self-inverse elements) are exact.
-_P1, _H, _M1, _MH = KleinIndex.P1, KleinIndex.H, KleinIndex.M1, KleinIndex.MH
+_BY_SIGNS = {(k.signs[0] > 0, k.signs[1] > 0): k for k in KleinIndex}
+# built once: __mul__ stays a single lookup instead of multiplying signs per call
 _KLEIN_TABLE = {
-    (_P1, _P1): _P1, (_P1, _H): _H, (_P1, _M1): _M1, (_P1, _MH): _MH,
-    (_H, _P1): _H, (_H, _H): _P1, (_H, _M1): _MH, (_H, _MH): _M1,
-    (_M1, _P1): _M1, (_M1, _H): _MH, (_M1, _M1): _P1, (_M1, _MH): _H,
-    (_MH, _P1): _MH, (_MH, _H): _M1, (_MH, _M1): _H, (_MH, _MH): _P1,
-}
-
-_KLEIN_UNITS = {
-    _P1: (1.0, 0.0),
-    _H: (0.0, 1.0),
-    _M1: (-1.0, 0.0),
-    _MH: (0.0, -1.0),
+    (a, b): _BY_SIGNS[(a.signs[0] * b.signs[0] > 0, a.signs[1] * b.signs[1] > 0)]
+    for a in KleinIndex for b in KleinIndex
 }
 
 
@@ -125,22 +130,24 @@ def sinh_e(a: ExtendedAngle) -> float:
     return cosh_sinh(a)[1]
 
 
+def _from_null_coords(c: float, s: float, u: float, w: float) -> ExtendedAngle:
+    # (c, s) is a non-null direction and u = c + s, w = c - s its null
+    # coordinates, each formed without cancellation.  The larger of |u|, |w|
+    # exceeds the smaller by 2 min(|c|, |s|), so log1p of that excess keeps
+    # full relative accuracy down to tiny theta, where 1/2 log|u/w| would not.
+    theta = 0.5 * math.log1p(2.0 * min(abs(c), abs(s)) / min(abs(u), abs(w)))
+    return ExtendedAngle(math.copysign(theta, c * s), _BY_SIGNS[(u > 0, w > 0)])
+
+
 def from_point(x: float, y: float) -> ExtendedAngle:
     """Extended angle of the direction (x, y).
 
     Raises NullDirection when (x, y) lies on y = +-x within tolerance (the
-    origin included).  Which of the two atanh branches applies is decided by
-    the larger of the normalized components, which also fixes the index.
+    origin included).  The index is the sign pair of x + y and x - y.
     """
-    d = quadratic_form(x, y)
-    if abs(d) <= null_eps() * (x * x + y * y):
+    if is_null_xy(x, y):
         raise NullDirection(f"({x}, {y}) has no extended angle")
-    rho = math.sqrt(abs(d))
-    c = x / rho
-    s = y / rho
-    if abs(s) < abs(c):
-        return ExtendedAngle(math.atanh(s / c), KleinIndex.P1 if c > 0 else KleinIndex.M1)
-    return ExtendedAngle(math.atanh(c / s), KleinIndex.H if s > 0 else KleinIndex.MH)
+    return _from_null_coords(x, y, x + y, x - y)
 
 
 def add_angles(a: ExtendedAngle, b: ExtendedAngle) -> ExtendedAngle:

@@ -109,10 +109,7 @@ class PELine:
     def theta(self) -> float:
         """Hyperbolic slope angle: referred to the x axis for first-kind lines,
         to the y axis for second-kind ones."""
-        d = self.direction
-        if self.kind is SegmentKind.FIRST:
-            return math.atanh(d.y / d.x)
-        return math.atanh(d.x / d.y)
+        return _angle.from_point(self.direction.x, self.direction.y).theta
 
     def residual(self, p: PointP) -> float:
         """Signed incidence defect: the cross term of (p - anchor) with the direction."""
@@ -232,7 +229,7 @@ class Motion:
         return cls(ExtendedAngle(0.0, KleinIndex.P1), HyperbolicNumber(0.0, 0.0))
 
     def is_proper(self) -> bool:
-        return self.rotation.k in (KleinIndex.P1, KleinIndex.M1)
+        return self.rotation.k.kappa > 0
 
     def apply(self, p: PointP) -> PointP:
         w = HyperbolicNumber(p.x, p.y) * _angle.euler(self.rotation) + self.offset

@@ -151,13 +151,16 @@ def rotate(z: HyperbolicNumber, a: ExtendedAngle) -> HyperbolicNumber:
 def angle_between(v1: HyperbolicNumber, v2: HyperbolicNumber) -> ExtendedAngle:
     """Extended angle carried by the invariant pair of two non-null vectors.
 
-    The pair (x1 x2 - y1 y2, x1 y2 - x2 y1) / (rho1 rho2) is exactly the
-    component pair of unit(v2) * conj(unit(v1)); recovering the angle from it
-    gives the angle of v2 as seen from v1.
+    The pair (x1 x2 - y1 y2, x1 y2 - x2 y1) is the component pair of
+    v2 * conj(v1), whose angle is the angle of v2 as seen from v1.  Its null
+    coordinates factor as (x2 + y2)(x1 - y1) and (x2 - y2)(x1 + y1), so they
+    are formed without cancellation and need no normalization.
     """
     if v1.is_null() or v2.is_null():
         raise NullDirection("angle between null vectors is undefined")
-    den = v1.module() * v2.module()
-    c = (v1.x * v2.x - v1.y * v2.y) / den
-    s = (v1.x * v2.y - v1.y * v2.x) / den
-    return _angle.from_point(c, s)
+    return _angle._from_null_coords(
+        v1.x * v2.x - v1.y * v2.y,
+        v1.x * v2.y - v1.y * v2.x,
+        (v2.x + v2.y) * (v1.x - v1.y),
+        (v2.x - v2.y) * (v1.x + v1.y),
+    )

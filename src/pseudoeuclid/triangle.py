@@ -184,7 +184,7 @@ class Triangle:
         """
         u = displacement(self.p1, self.p2)
         a = _angle.from_point(u.x, u.y)
-        target = KleinIndex.P1 if a.k in (KleinIndex.P1, KleinIndex.M1) else KleinIndex.MH
+        target = KleinIndex.P1 if a.k.kappa > 0 else KleinIndex.MH
         rot = ExtendedAngle(-a.theta, target * a.k)
         spin = _angle.euler(rot)
         shift = -(HyperbolicNumber(self.p1.x, self.p1.y) * spin)
@@ -213,10 +213,6 @@ def _as_angle(name: str, value: ExtendedAngle) -> ExtendedAngle:
     if not isinstance(value, ExtendedAngle):
         raise InvalidInput(f"{name} must be an ExtendedAngle, got {type(value).__name__}")
     return value
-
-
-def _kappa(a: ExtendedAngle) -> float:
-    return 1.0 if a.k in (KleinIndex.P1, KleinIndex.M1) else -1.0
 
 
 def _place(theta1: ExtendedAngle, d2: float, D3: float) -> tuple[PointP, PointP, PointP]:
@@ -250,7 +246,7 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
     D1 = _as_square("D1", D1)
     D3 = _as_square("D3", D3)
     c1, s1 = _angle.cosh_sinh(theta1)
-    kappa = _kappa(theta1)
+    kappa = theta1.k.kappa
     sign3 = 1.0 if D3 > 0 else -1.0
     d3 = math.sqrt(abs(D3))
     disc = d3 * d3 * s1 * s1 + kappa * sign3 * D1
@@ -321,7 +317,7 @@ def solve_sas(theta1: ExtendedAngle, D2: float, D3: float) -> Triangle:
     sign3 = 1.0 if D3 > 0 else -1.0
     # the placement forces sign(D2) = kappa1 * sign(D3); a mismatched datum
     # cannot come from any triangle with this vertex angle
-    implied = _kappa(theta1) * sign3
+    implied = theta1.k.kappa * sign3
     if (D2 > 0) != (implied > 0):
         raise Inconsistent("sign of D2 contradicts the vertex angle kind")
     try:

@@ -217,3 +217,27 @@ def test_subprocess_determinism():
     assert first.returncode == 0
     assert json.loads(first.stdout)["ok"] is True
     assert first.stdout == second.stdout
+
+
+README_EXAMPLES = [
+    (["classify", "--point", "5,3"],
+     '{\n  "D": 16.0,\n  "k": "+1",\n  "rho": 4.0,\n  "sector": "Right",\n'
+     '  "theta": 0.6931471805599453,\n  "x": 5.0,\n  "y": 3.0\n}\n'),
+    (["solve", "ssa", "--theta1", "atanh(0.6),+1", "--D1", "-9", "--D3", "25",
+      "--format", "csv"],
+     "p1x,p1y,p2x,p2y,p3x,p3y,D1,D2,D3,d1,d2,d3,theta1,k1,theta2,k2,theta3,k3,S\n"
+     "0,0,5,0,5,3,-9,16,25,3,4,5,0.69314718055994529,+1,-0,+h,"
+     "-0.69314718055994529,+h,7.5\n"
+     "0,0,5,0,10.625,6.375,-9,72.25,25,3,8.5,5,0.69314718055994529,+1,"
+     "-1.3862943611198906,+h,0.69314718055994529,+h,15.9375\n"),
+    (["circumhyperbola", "--vertices", "0,0", "5,0", "5,3"],
+     '{\n  "P": 4.0,\n  "cx": 2.5,\n  "cy": 1.5,\n  "kind": "second",\n  "p": 2.0\n}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+                         ids=["classify", "solve-ssa-csv", "circumhyperbola"])
+def test_readme_examples_byte_for_byte(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected

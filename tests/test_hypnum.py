@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex
@@ -33,6 +33,7 @@ def test_product_rule():
 
 
 @given(numbers, numbers, numbers)
+@example(H(0.0, 998933.9921875), H(998933.9921875, -998949.0), H(-998949.0, 998933.9921875))
 @settings(max_examples=300, deadline=None)
 def test_ring_axioms(a, b, c):
     assert a * b == b * a
@@ -40,7 +41,9 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == c + (a + b)
     left = a * (b + c)
     right = a * b + a * c
-    scale = 1.0 + abs(left.x) + abs(left.y) + abs(right.x) + abs(right.y)
+    # rounding is bounded by the size of the partial products, which can
+    # cancel down to a much smaller result (the pinned example)
+    scale = 1.0 + (abs(a.x) + abs(a.y)) * (abs(b.x) + abs(b.y) + abs(c.x) + abs(c.y))
     assert abs(left.x - right.x) / scale <= 1e-12
     assert abs(left.y - right.y) / scale <= 1e-12
 
