@@ -89,13 +89,6 @@ class ExtendedAngle:
         if not isinstance(self.k, KleinIndex):
             raise ValueError(f"k must be a KleinIndex, got {self.k!r}")
 
-    def to_dict(self) -> dict:
-        return {"theta": self.theta, "k": self.k.label}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExtendedAngle":
-        return cls(float(data["theta"]), KleinIndex.from_label(data["k"]))
-
 
 def _checked_cosh_sinh(theta: float) -> tuple[float, float]:
     if abs(theta) > THETA_MAX:

@@ -58,9 +58,9 @@ def _parse_theta(text: str) -> ExtendedAngle:
             theta = math.atanh(ratio)
         else:
             theta = float(expr)
+        return ExtendedAngle(sign * theta, k)
     except ValueError as exc:
         raise InvalidInput(f"bad angle value {head!r}: {exc}") from exc
-    return ExtendedAngle(sign * theta, k)
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -71,6 +71,9 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InvalidInput(f"bad range {text!r}: {exc}") from exc
+    # nan or inf in either bound, or a width that overflows, leaves hi - lo non-finite
+    if not math.isfinite(hi - lo):
+        raise InvalidInput(f"range {text!r} needs finite bounds and width")
     if n < 2:
         raise InvalidInput(f"need at least two samples, got n={n}")
     return lo, hi, n
@@ -101,8 +104,11 @@ def _emit(result, rows_key: str | None, columns: list[str] | None, args) -> None
         lines += [",".join(_fmt(row.get(col)) for col in columns) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -126,7 +132,7 @@ def _cmd_classify(args) -> int:
     if args.point is not None:
         p = _parse_point(args.point)
         z = HyperbolicNumber(p.x, p.y)
-        out = {"x": z.x, "y": z.y, "sector": classify_sector(z).label,
+        out = {"x": z.x, "y": z.y, "sector": classify_sector(z).value,
                "D": z.square_module(), "rho": z.module(),
                "theta": None, "k": None}
         if not z.is_null():
@@ -135,9 +141,9 @@ def _cmd_classify(args) -> int:
         _emit(out, None, None, args)
     else:
         p, q = (_parse_point(t) for t in args.segment)
-        D = square_distance(p, q).D
+        D = square_distance(p, q)
         out = {"x1": p.x, "y1": p.y, "x2": q.x, "y2": q.y,
-               "segment_kind": segment_kind(p, q).label,
+               "segment_kind": segment_kind(p, q).value,
                "D": D, "d": math.sqrt(abs(D))}
         _emit(out, None, None, args)
     return 0
@@ -186,6 +192,8 @@ def _cmd_sample(args) -> int:
         _emit({"rows": rows}, "rows", ["k", "theta", "x", "y"], args)
     else:
         lo, hi, n = _parse_range(args.phi)
+        if not math.isfinite(args.gap_eps):
+            raise InvalidInput(f"--gap-eps must be finite, got {args.gap_eps!r}")
         gap = max(args.gap_eps, null_eps())
         step = (hi - lo) / (n - 1)
         rows = []
@@ -206,8 +214,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.n <= 0:
-        print(f"error: --n must be positive, got {args.n}", file=sys.stderr)
-        return 2
+        raise InvalidInput(f"--n must be positive, got {args.n}")
     report = run_selftest(seed=args.seed, n=args.n)
     if args.format == "csv":
         rows = [{"check": name, **data} for name, data in report["checks"].items()]

@@ -16,9 +16,6 @@ class EuclideanAngleValues:
     sin: float
     radians: float
 
-    def to_dict(self) -> dict:
-        return {"cos": self.cos, "sin": self.sin, "radians": self.radians}
-
 
 def euclid_angle(v1: HyperbolicNumber, v2: HyperbolicNumber) -> EuclideanAngleValues:
     """Euclidean angle from v1 to v2 (length-normalized, so null vectors are

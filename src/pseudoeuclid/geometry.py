@@ -14,7 +14,7 @@ from enum import Enum
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NullDirection, ParallelRays
-from .hypnum import HyperbolicNumber, SquareDistance
+from .hypnum import HyperbolicNumber
 from .tol import is_null_xy, quadratic_form
 
 # residual thresholds for incidence/orthogonality predicates, scaled by the
@@ -36,22 +36,11 @@ class PointP:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PointP":
-        return cls(float(data["x"]), float(data["y"]))
-
 
 class SegmentKind(Enum):
     FIRST = "first"
     SECOND = "second"
     NULL = "null"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 def displacement(p: PointP, q: PointP) -> HyperbolicNumber:
@@ -63,16 +52,17 @@ def midpoint(p: PointP, q: PointP) -> PointP:
     return PointP((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
 
 
-def square_distance(p: PointP, q: PointP) -> SquareDistance:
+def square_distance(p: PointP, q: PointP) -> float:
     """D = (qx-px)^2 - (qy-py)^2, positive for first-kind separations."""
-    return SquareDistance(quadratic_form(q.x - p.x, q.y - p.y))
+    return quadratic_form(q.x - p.x, q.y - p.y)
 
 
 def segment_kind(p: PointP, q: PointP) -> SegmentKind:
     dx, dy = q.x - p.x, q.y - p.y
     if is_null_xy(dx, dy):
         return SegmentKind.NULL
-    return SegmentKind.FIRST if quadratic_form(dx, dy) > 0 else SegmentKind.SECOND
+    # off the null lines |dx| > |dy| is the sign of D, and cannot underflow
+    return SegmentKind.FIRST if abs(dx) > abs(dy) else SegmentKind.SECOND
 
 
 def _euclid_norm(v: HyperbolicNumber) -> float:
@@ -137,20 +127,6 @@ class PELine:
             raise NullDirection(f"slope {m} is a null direction")
         return cls(PointP(0.0, q), HyperbolicNumber(1.0, m))
 
-    def to_dict(self) -> dict:
-        return {
-            "anchor": self.anchor.to_dict(),
-            "dir": self.direction.to_dict(),
-            "kind": self.kind.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PELine":
-        line = cls(PointP.from_dict(data["anchor"]), HyperbolicNumber.from_dict(data["dir"]))
-        if "kind" in data and data["kind"] != line.kind.label:
-            raise ValueError(f"stored kind {data['kind']!r} does not match direction")
-        return line
-
 
 def line_through(p: PointP, q: PointP) -> PELine:
     """The unique line through two points; their separation must not be null."""
@@ -202,8 +178,8 @@ def line_intersection(l1: PELine, l2: PELine) -> PointP:
     return PointP(l1.anchor.x + t * l1.direction.x, l1.anchor.y + t * l1.direction.y)
 
 
-def point_line_distance(p: PointP, line: PELine) -> tuple[SquareDistance, PointP]:
-    """Square distance from p to a line together with the foot point.
+def point_line_distance(p: PointP, line: PELine) -> tuple[float, PointP]:
+    """Square distance D from p to a line, as a signed float, and the foot point.
 
     The foot is where the pseudo-orthogonal line through p meets the given
     line; among nearby points of the line it extremizes |D| (a maximum, in

@@ -31,10 +31,6 @@ class ChordClass(Enum):
     EXTERNAL = "external"  # both endpoints on one arm
     INTERNAL = "internal"  # endpoints on opposite arms
 
-    @property
-    def label(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Chord:
@@ -42,14 +38,6 @@ class Chord:
     b: PointP
     chord_class: ChordClass
     D: float
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a.to_dict(),
-            "b": self.b.to_dict(),
-            "class": self.chord_class.label,
-            "D": self.D,
-        }
 
 
 @dataclass(frozen=True)
@@ -208,18 +196,6 @@ class EquilateralHyperbola:
         vb = displacement(vertex, b)
         dot = va.x * vb.x - va.y * vb.y
         return abs(dot) / (math.hypot(va.x, va.y) * math.hypot(vb.x, vb.y))
-
-    def to_dict(self) -> dict:
-        return {
-            "center": self.center.to_dict(),
-            "P": self.P,
-            "p": self.p,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EquilateralHyperbola":
-        return cls(PointP.from_dict(data["center"]), float(data["P"]))
 
 
 def circumscribed(tri) -> EquilateralHyperbola:

@@ -15,7 +15,7 @@ from numbers import Real
 from . import angle as _angle
 from .angle import ExtendedAngle
 from .errors import NonPositiveRho, NullDirection, NullDivisor
-from .tol import is_null_xy, null_eps, quadratic_form
+from .tol import is_null_xy, quadratic_form, rescaled
 
 
 class Sector(Enum):
@@ -28,10 +28,6 @@ class Sector(Enum):
     NULL_PLUS = "null+"
     NULL_MINUS = "null-"
     ORIGIN = "origin"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,9 @@ class HyperbolicNumber:
         return quadratic_form(self.x, self.y)
 
     def module(self) -> float:
-        return math.sqrt(abs(self.square_module()))
+        # sqrt|D| is representable even where D itself overflows or underflows
+        x, y, s = rescaled(self.x, self.y)
+        return math.ldexp(math.sqrt(abs(quadratic_form(x, y))), -s)
 
     def is_null(self) -> bool:
         return is_null_xy(self.x, self.y)
@@ -90,36 +88,13 @@ class HyperbolicNumber:
         d = self.square_module()
         return HyperbolicNumber(self.x / d, -self.y / d)
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HyperbolicNumber":
-        return cls(float(data["x"]), float(data["y"]))
-
-
-@dataclass(frozen=True)
-class SquareDistance:
-    """A signed square length D; the actual length is d = sqrt|D|."""
-
-    D: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "D", float(self.D))
-        if not math.isfinite(self.D):
-            raise ValueError(f"square distance must be finite, got {self.D!r}")
-
-    @property
-    def d(self) -> float:
-        return math.sqrt(abs(self.D))
-
 
 def classify_sector(z: HyperbolicNumber) -> Sector:
     """Sector tag of z under the scale-invariant null test."""
     if z.x == 0.0 and z.y == 0.0:
         return Sector.ORIGIN
     if z.is_null():
-        return Sector.NULL_PLUS if z.x * z.y > 0 else Sector.NULL_MINUS
+        return Sector.NULL_PLUS if (z.x > 0) == (z.y > 0) else Sector.NULL_MINUS
     if abs(z.x) > abs(z.y):
         return Sector.RIGHT if z.x > 0 else Sector.LEFT
     return Sector.UP if z.y > 0 else Sector.DOWN

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable
 
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
@@ -209,38 +208,26 @@ def run_selftest(seed: int = 0, n: int = 1000) -> dict:
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n}")
     rng = random.Random(seed)
-    pool = None
-
-    def with_pool(fn: Callable) -> Callable:
-        def run(rng: random.Random, count: int) -> float:
-            nonlocal pool
-            if pool is None or len(pool) != count:
-                pool = _triangle_pool(rng, count)
-            return fn(pool)
-        return run
-
-    suites: list[tuple[str, Callable]] = [
-        ("quadratic-identity", _check_quadratic),
-        ("angle-addition", _check_addition),
-        ("angle-roundtrip", _check_angle_roundtrip),
-        ("polar-roundtrip", _check_polar_roundtrip),
-        ("area-sine-triple", with_pool(_check_area_triple)),
-        ("law-of-sines", with_pool(_check_sines)),
-        ("law-of-cosines", with_pool(_check_cosines)),
-        ("projection-law", with_pool(_check_projection)),
-        ("angle-sum-sinh", with_pool(_check_angle_sum_sinh)),
-        ("angle-sum-cosh", with_pool(_check_angle_sum_cosh)),
-        ("angle-sum-index", with_pool(_check_angle_sum_index)),
-        ("motion-invariance", _check_motion_invariance),
-        ("circum-equidistance", with_pool(_check_circum)),
-    ]
+    # the suites share one stream: this order fixes every draw and the report order
+    worst = {
+        "quadratic-identity": _check_quadratic(rng, n),
+        "angle-addition": _check_addition(rng, n),
+        "angle-roundtrip": _check_angle_roundtrip(rng, n),
+        "polar-roundtrip": _check_polar_roundtrip(rng, n),
+    }
+    pool = _triangle_pool(rng, n)
+    worst["area-sine-triple"] = _check_area_triple(pool)
+    worst["law-of-sines"] = _check_sines(pool)
+    worst["law-of-cosines"] = _check_cosines(pool)
+    worst["projection-law"] = _check_projection(pool)
+    worst["angle-sum-sinh"] = _check_angle_sum_sinh(pool)
+    worst["angle-sum-cosh"] = _check_angle_sum_cosh(pool)
+    worst["angle-sum-index"] = _check_angle_sum_index(pool)
+    worst["motion-invariance"] = _check_motion_invariance(rng, n)
+    worst["circum-equidistance"] = _check_circum(pool)
     checks = {}
-    failed = []
-    for name, fn in suites:
-        worst = fn(rng, n)
+    for name, value in worst.items():
         limit = THRESHOLDS[name]
-        ok = worst <= limit
-        if not ok:
-            failed.append(name)
-        checks[name] = {"samples": n, "worst": worst, "limit": limit, "ok": ok}
+        checks[name] = {"samples": n, "worst": value, "limit": limit, "ok": value <= limit}
+    failed = [name for name, check in checks.items() if not check["ok"]]
     return {"seed": seed, "n": n, "checks": checks, "failed": failed, "ok": not failed}

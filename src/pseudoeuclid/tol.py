@@ -35,10 +35,22 @@ def quadratic_form(x: float, y: float) -> float:
     return x * x - y * y
 
 
+def rescaled(x: float, y: float) -> tuple[float, float, int]:
+    """(x * 2**s, y * 2**s, s) with the larger component in [0.5, 1), where no
+    square overflows or underflows; scaling by a power of two is exact."""
+    s = -math.frexp(max(abs(x), abs(y)))[1]
+    return math.ldexp(x, s), math.ldexp(y, s), s
+
+
 def is_null_xy(x: float, y: float, eps: float | None = None) -> bool:
     """Scale-invariant test for membership of the lines y = +-x.
 
-    The zero vector counts as null.
+    The verdict is the same at every magnitude; the zero vector counts as null.
     """
     e = _null_eps if eps is None else eps
-    return abs(quadratic_form(x, y)) <= e * (x * x + y * y)
+    n = x * x + y * y
+    # outside this band a square overflowed or lost precision to underflow
+    if not 2.0 ** -900 < n < 2.0 ** 900:
+        x, y, _ = rescaled(x, y)
+        n = x * x + y * y
+    return abs(quadratic_form(x, y)) <= e * n

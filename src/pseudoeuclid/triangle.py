@@ -49,23 +49,6 @@ class TriangleElements:
     angles: tuple[ExtendedAngle, ExtendedAngle, ExtendedAngle]
     S: float
 
-    def to_dict(self) -> dict:
-        return {
-            "D": list(self.D),
-            "d": list(self.d),
-            "angles": [a.to_dict() for a in self.angles],
-            "S": self.S,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TriangleElements":
-        return cls(
-            tuple(float(v) for v in data["D"]),
-            tuple(float(v) for v in data["d"]),
-            tuple(ExtendedAngle.from_dict(a) for a in data["angles"]),
-            float(data["S"]),
-        )
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -111,9 +94,9 @@ class Triangle:
         counterclockwise vertex to the ray toward the previous one; with the
         opposite-side labelling this yields sinh_e(theta_i) = 2S/(d_j d_k).
         """
-        D1 = square_distance(self.p2, self.p3).D
-        D2 = square_distance(self.p1, self.p3).D
-        D3 = square_distance(self.p1, self.p2).D
+        D1 = square_distance(self.p2, self.p3)
+        D2 = square_distance(self.p1, self.p3)
+        D3 = square_distance(self.p1, self.p2)
         a1 = angle_between(displacement(self.p1, self.p2), displacement(self.p1, self.p3))
         a2 = angle_between(displacement(self.p2, self.p3), displacement(self.p2, self.p1))
         a3 = angle_between(displacement(self.p3, self.p1), displacement(self.p3, self.p2))
@@ -190,14 +173,6 @@ class Triangle:
         shift = -(HyperbolicNumber(self.p1.x, self.p1.y) * spin)
         motion = Motion(rot, shift)
         return motion, self.transformed(motion)
-
-    def to_dict(self) -> dict:
-        return {"p1": self.p1.to_dict(), "p2": self.p2.to_dict(), "p3": self.p3.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Triangle":
-        return cls(PointP.from_dict(data["p1"]), PointP.from_dict(data["p2"]),
-                   PointP.from_dict(data["p3"]))
 
 
 def _as_square(name: str, value: float) -> float:

@@ -74,7 +74,7 @@ def test_criterion_1_worked_example(capsys):
 
     # point classification of the hypotenuse tip
     z = HyperbolicNumber(5, 3)
-    if classify_sector(z).label != "Right":
+    if classify_sector(z).value != "Right":
         bad.append("sector(5,3)")
     rho, ang = to_polar(z)
     want("rho(5,3)", rho, 4.0)

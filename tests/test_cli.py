@@ -184,6 +184,45 @@ def test_unknown_k_label_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "ssa", "--theta1", "inf,+1", "--D1", "-9", "--D3", "25"],
+    ["solve", "ssa", "--theta1", "1e400,+1", "--D1", "-9", "--D3", "25"],
+    ["sample", "cosh-e", "--phi", "0:inf:3"],
+    ["sample", "unit-hyperbolas", "--theta=0:nan:3"],
+    ["sample", "unit-hyperbolas", "--theta=-1e308:1e308:3"],
+    ["sample", "cosh-e", "--phi", "0:1:3", "--gap-eps", "nan"],
+], ids=["theta-inf", "theta-1e400", "range-inf", "range-nan", "range-width-overflow",
+        "gap-eps-nan"])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.json"
+    code, out, err = run_cli(capsys, "--output", str(target), "classify", "--point", "5,3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
+
+
+def test_classify_segment_with_overflowing_square(capsys):
+    # D overflows to inf, but the kind comes from the scale-free null test
+    code, out, _ = run_cli(capsys, "classify", "--segment", "3e200,0", "1e200,0")
+    assert code == 0
+    assert json.loads(out)["segment_kind"] == "first"
+
+
+def test_classify_point_on_null_line_at_large_scale(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--point", "1e200,1e200")
+    assert code == 0
+    data = json.loads(out)
+    assert data["sector"] == "null+"
+    assert data["theta"] is None and data["k"] is None
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),

@@ -33,11 +33,10 @@ P = PointP
 def test_point_validation():
     with pytest.raises(ValueError):
         P(math.nan, 0.0)
-    assert P.from_dict(P(1.0, 2.0).to_dict()) == P(1.0, 2.0)
 
 
 def test_square_distance_and_kinds():
-    assert square_distance(P(0, 0), P(5, 3)).D == 16.0
+    assert square_distance(P(0, 0), P(5, 3)) == 16.0
     assert segment_kind(P(0, 0), P(5, 3)) is SegmentKind.FIRST
     assert segment_kind(P(0, 0), P(3, 5)) is SegmentKind.SECOND
     assert segment_kind(P(1, 1), P(4, 4)) is SegmentKind.NULL
@@ -114,8 +113,8 @@ def test_segment_axis_equidistance():
     assert axis.contains(midpoint(p1, p2))
     for t in (-2.0, -0.5, 0.0, 1.0, 3.0):
         q = P(axis.anchor.x + t * axis.direction.x, axis.anchor.y + t * axis.direction.y)
-        da = square_distance(q, p1).D
-        db = square_distance(q, p2).D
+        da = square_distance(q, p1)
+        db = square_distance(q, p2)
         assert da == pytest.approx(db, rel=1e-9, abs=1e-9)
     with pytest.raises(NullDirection):
         segment_axis(P(0, 0), P(2, 2))
@@ -140,7 +139,7 @@ def test_point_line_distance_first_kind_foot():
     x2 = (x1 - m * y1 - m * q) / (1.0 - m * m)
     assert foot.x == pytest.approx(x2, rel=1e-12)
     assert foot.y == pytest.approx(m * x2 + q, rel=1e-12)
-    assert D.D == pytest.approx((y1 - m * x1 - q) ** 2 / (m * m - 1.0), rel=1e-12)
+    assert D == pytest.approx((y1 - m * x1 - q) ** 2 / (m * m - 1.0), rel=1e-12)
 
 
 def test_point_line_distance_second_kind_foot():
@@ -148,7 +147,7 @@ def test_point_line_distance_second_kind_foot():
     line = PELine(P(0, 0), H(1.0, 0.0))
     D, foot = point_line_distance(P(0.0, 1.0), line)
     assert foot == P(0.0, 0.0)
-    assert D.D == -1.0
+    assert D == -1.0
 
 
 def test_point_line_distance_vertical_line():
@@ -156,7 +155,7 @@ def test_point_line_distance_vertical_line():
     D, foot = point_line_distance(P(5.0, 1.0), line)
     assert foot.x == pytest.approx(2.0, rel=1e-12)
     assert foot.y == pytest.approx(1.0, rel=1e-12)
-    assert D.D == pytest.approx(9.0, rel=1e-12)
+    assert D == pytest.approx(9.0, rel=1e-12)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
@@ -171,15 +170,15 @@ def test_foot_extremizes_square_distance(px, py, t):
         line = PELine(P(0.5, -0.25), direction)
         u_sign = 1.0 if direction.square_module() > 0 else -1.0
         D, foot = point_line_distance(P(px, py), line)
-        if abs(D.D) < 1e-9:
+        if abs(D) < 1e-9:
             continue  # the point effectively sits on the line
         q = P(foot.x + t * line.direction.x, foot.y + t * line.direction.y)
-        Dq = square_distance(P(px, py), q).D
-        assert Dq == pytest.approx(D.D + u_sign * t * t, rel=1e-9, abs=1e-9)
-        inside = 0.9 * t * math.sqrt(abs(D.D)) / 2.0
+        Dq = square_distance(P(px, py), q)
+        assert Dq == pytest.approx(D + u_sign * t * t, rel=1e-9, abs=1e-9)
+        inside = 0.9 * t * math.sqrt(abs(D)) / 2.0
         q2 = P(foot.x + inside * line.direction.x, foot.y + inside * line.direction.y)
-        Dq2 = square_distance(P(px, py), q2).D
-        assert abs(Dq2) <= abs(D.D) + 1e-9
+        Dq2 = square_distance(P(px, py), q2)
+        assert abs(Dq2) <= abs(D) + 1e-9
 
 
 def test_motion_roundtrip_and_invariance():
@@ -187,7 +186,7 @@ def test_motion_roundtrip_and_invariance():
     assert motion.is_proper()
     p, q = P(1.0, 2.0), P(-3.0, 0.5)
     mp, mq = motion.apply(p), motion.apply(q)
-    assert square_distance(mp, mq).D == pytest.approx(square_distance(p, q).D, rel=1e-12)
+    assert square_distance(mp, mq) == pytest.approx(square_distance(p, q), rel=1e-12)
     back = motion.inverted()
     rp = back.apply(mp)
     assert rp.x == pytest.approx(p.x, abs=1e-12)
@@ -198,24 +197,13 @@ def test_improper_motion_flips_square_distance():
     motion = Motion(ExtendedAngle(0.3, KleinIndex.H), H(0.0, 0.0))
     assert not motion.is_proper()
     p, q = P(1.0, 2.0), P(-3.0, 0.5)
-    assert square_distance(motion.apply(p), motion.apply(q)).D == pytest.approx(
-        -square_distance(p, q).D, rel=1e-12)
+    assert square_distance(motion.apply(p), motion.apply(q)) == pytest.approx(
+        -square_distance(p, q), rel=1e-12)
 
 
 def test_motion_identity():
     ident = Motion.identity()
     assert ident.apply(P(3.0, -4.0)) == P(3.0, -4.0)
-
-
-def test_line_dict_roundtrip():
-    line = line_through(P(1, 1), P(6, 4))
-    again = PELine.from_dict(line.to_dict())
-    assert again.anchor == line.anchor
-    assert again.direction == line.direction
-    data = line.to_dict()
-    data["kind"] = "second"
-    with pytest.raises(ValueError):
-        PELine.from_dict(data)
 
 
 def test_displacement():

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex
@@ -11,13 +12,13 @@ from pseudoeuclid.errors import NonPositiveRho, NullDirection, NullDivisor
 from pseudoeuclid.hypnum import (
     HyperbolicNumber,
     Sector,
-    SquareDistance,
     angle_between,
     classify_sector,
     from_polar,
     rotate,
     to_polar,
 )
+from pseudoeuclid.tol import is_null_xy
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 numbers = st.builds(HyperbolicNumber, coords, coords)
@@ -95,14 +96,46 @@ def test_inverse():
     (H(2.0, 2.0), Sector.NULL_PLUS),
     (H(-2.0, 2.0), Sector.NULL_MINUS),
     (H(-2.0, -2.0), Sector.NULL_PLUS),
+    # squares that overflow or underflow a double
+    (H(1e200, 0.0), Sector.RIGHT),
+    (H(1e-170, 0.0), Sector.RIGHT),
+    (H(0.0, 1e200), Sector.UP),
+    (H(1e200, 1e200), Sector.NULL_PLUS),
+    (H(1e-170, 1e-170), Sector.NULL_PLUS),
+    (H(1e-170, -1e-170), Sector.NULL_MINUS),
 ])
 def test_sector_classification(z, sector):
     assert classify_sector(z) is sector
 
 
+def _stays_exact(v: float, scaled: float) -> bool:
+    # zero stays zero; anything else stays a normal double
+    if v == 0.0:
+        return scaled == 0.0
+    return abs(v) >= sys.float_info.min and sys.float_info.min <= abs(scaled) < math.inf
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(min_value=-2100, max_value=2100))
+@example(1.0, 1.0 + 2.0 ** -41, 700)
+@example(1.0, 1.0 + 2.0 ** -39, -700)
+@example(3.0, 1.0, 600)
+@settings(max_examples=500, deadline=None)
+def test_null_test_is_scale_invariant(x, y, k):
+    # ldexp by k is exact while both components stay normal, so the verdict
+    # must not move
+    try:
+        sx, sy = math.ldexp(x, k), math.ldexp(y, k)
+    except OverflowError:
+        sx = sy = math.inf
+    assume(_stays_exact(x, sx) and _stays_exact(y, sy))
+    assert is_null_xy(x, y) == is_null_xy(sx, sy)
+
+
 def test_sector_labels():
-    assert Sector.NULL_PLUS.label == "null+"
-    assert Sector.RIGHT.label == "Right"
+    assert Sector.NULL_PLUS.value == "null+"
+    assert Sector.RIGHT.value == "Right"
 
 
 def test_polar_form_down_sector():
@@ -163,18 +196,9 @@ def test_angle_between_rejects_null():
         angle_between(H(5.0, 3.0), H(0.0, 0.0))
 
 
-def test_square_distance_value_object():
-    D = SquareDistance(-9.0)
-    assert D.d == 3.0
-    with pytest.raises(ValueError):
-        SquareDistance(math.inf)
-
-
 def test_number_validation_and_dict():
     with pytest.raises(ValueError):
         H(math.inf, 0.0)
-    z = H(1.5, -2.5)
-    assert H.from_dict(z.to_dict()) == z
 
 
 def test_foreign_operand_rejected():

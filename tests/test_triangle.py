@@ -8,7 +8,7 @@ from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_e, sinh_e
 from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
 from pseudoeuclid.geometry import Motion, PointP
 from pseudoeuclid.hypnum import HyperbolicNumber
-from pseudoeuclid.triangle import Triangle, TriangleElements
+from pseudoeuclid.triangle import Triangle
 
 P = PointP
 LN2 = math.log(2.0)
@@ -156,10 +156,3 @@ def test_second_fixture_vertex_pair():
     a1 = el.angles[0]
     assert cosh_e(a1) == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
     assert sinh_e(a1) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
-
-
-def test_elements_dict_roundtrip(tri):
-    el = tri.elements()
-    again = TriangleElements.from_dict(el.to_dict())
-    assert again == el
-    assert Triangle.from_dict(tri.to_dict()) == tri
