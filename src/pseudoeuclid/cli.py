@@ -95,7 +95,9 @@ def _fmt(value) -> str:
 
 def _emit(result, rows_key: str | None, columns: list[str] | None, args) -> None:
     if args.format == "json":
-        text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+        # JSON has no NaN or Infinity: a value that does not fit a double prints as null
+        plain = json.loads(json.dumps(result), parse_constant=lambda _: None)
+        text = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         rows = result[rows_key] if rows_key else [result]
         if columns is None:

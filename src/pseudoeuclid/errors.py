@@ -41,10 +41,6 @@ class NotOnHyperbola(PseudoEuclidError):
     """A point expected on a hyperbola is not on it."""
 
 
-class NotADiameter(PseudoEuclidError):
-    """No side of the figure passes through the hyperbola's center."""
-
-
 class ZeroVector(PseudoEuclidError):
     """A zero vector where a direction was needed."""
 

@@ -77,6 +77,11 @@ def _pseudo_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
     return v1.x * v2.x - v1.y * v2.y
 
 
+def _normalized_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
+    # |x1 x2 - y1 y2| per unit of Euclidean size; zero for pseudo-orthogonal vectors
+    return abs(_pseudo_dot(v1, v2)) / (_euclid_norm(v1) * _euclid_norm(v2))
+
+
 @dataclass(frozen=True)
 class PELine:
     """Anchor plus unit direction; the direction is normalized on construction."""
@@ -169,13 +174,19 @@ def segment_axis(p1: PointP, p2: PointP) -> PELine:
     return PELine(midpoint(p1, p2), HyperbolicNumber(disp.y, disp.x))
 
 
-def line_intersection(l1: PELine, l2: PELine) -> PointP:
-    den = _cross(l1.direction, l2.direction)
-    n = _euclid_norm(l1.direction) * _euclid_norm(l2.direction)
+def _meet(a: PointP, e1: HyperbolicNumber, b: PointP, e2: HyperbolicNumber) -> PointP:
+    # where the line through a along e1 meets the line through b along e2;
+    # the directions need not be unit vectors, and their sense does not matter
+    den = _cross(e1, e2)
+    n = _euclid_norm(e1) * _euclid_norm(e2)
     if abs(den) <= PARALLEL_TOL * n:
         raise ParallelRays("lines are parallel")
-    t = _cross(displacement(l1.anchor, l2.anchor), l2.direction) / den
-    return PointP(l1.anchor.x + t * l1.direction.x, l1.anchor.y + t * l1.direction.y)
+    t = _cross(displacement(a, b), e2) / den
+    return PointP(a.x + t * e1.x, a.y + t * e1.y)
+
+
+def line_intersection(l1: PELine, l2: PELine) -> PointP:
+    return _meet(l1.anchor, l1.direction, l2.anchor, l2.direction)
 
 
 def point_line_distance(p: PointP, line: PELine) -> tuple[float, PointP]:

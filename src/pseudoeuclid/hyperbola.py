@@ -16,12 +16,11 @@ from enum import Enum
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection
-from .geometry import PELine, PointP, displacement, line_intersection, segment_axis
+from .geometry import PELine, PointP, _normalized_dot, displacement, line_intersection, segment_axis
 from .hypnum import HyperbolicNumber, angle_between
 from .tol import quadratic_form
 
 CONTAINS_TOL = 1e-9
-ORTHO_TOL = 1e-9
 
 _FIRST_ARMS = (KleinIndex.H, KleinIndex.MH)
 _SECOND_ARMS = (KleinIndex.P1, KleinIndex.M1)
@@ -141,8 +140,7 @@ class EquilateralHyperbola:
                                (a.y + b.y) / 2.0 - self.center.y)
         if mid.is_null():
             raise NullDirection("chord is a diameter: its midpoint is the center")
-        dot = mid.x * chord.x - mid.y * chord.y
-        return abs(dot) / (math.hypot(mid.x, mid.y) * math.hypot(chord.x, chord.y))
+        return _normalized_dot(mid, chord)
 
     def tangent_at(self, point: PointP) -> PELine:
         """Tangent line at a point of the locus.
@@ -192,10 +190,7 @@ class EquilateralHyperbola:
         self._require(vertex, "vertex")
         if vertex == a or vertex == b:
             raise NullDirection("vertex coincides with a diameter endpoint")
-        va = displacement(vertex, a)
-        vb = displacement(vertex, b)
-        dot = va.x * vb.x - va.y * vb.y
-        return abs(dot) / (math.hypot(va.x, va.y) * math.hypot(vb.x, vb.y))
+        return _normalized_dot(displacement(vertex, a), displacement(vertex, b))
 
 
 def circumscribed(tri) -> EquilateralHyperbola:

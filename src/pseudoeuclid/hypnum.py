@@ -85,8 +85,10 @@ class HyperbolicNumber:
         """conj(z) / (z conj(z)); undefined within tolerance of the null lines."""
         if self.is_null():
             raise NullDivisor(f"({self.x}, {self.y}) is a null divisor")
-        d = self.square_module()
-        return HyperbolicNumber(self.x / d, -self.y / d)
+        # on the rescaled pair D cannot overflow or underflow, as in module()
+        x, y, s = rescaled(self.x, self.y)
+        d = quadratic_form(x, y)
+        return HyperbolicNumber(math.ldexp(x / d, s), math.ldexp(-y / d, s))
 
 
 def classify_sector(z: HyperbolicNumber) -> Sector:

@@ -42,15 +42,14 @@ def rescaled(x: float, y: float) -> tuple[float, float, int]:
     return math.ldexp(x, s), math.ldexp(y, s), s
 
 
-def is_null_xy(x: float, y: float, eps: float | None = None) -> bool:
+def is_null_xy(x: float, y: float) -> bool:
     """Scale-invariant test for membership of the lines y = +-x.
 
     The verdict is the same at every magnitude; the zero vector counts as null.
     """
-    e = _null_eps if eps is None else eps
     n = x * x + y * y
     # outside this band a square overflowed or lost precision to underflow
     if not 2.0 ** -900 < n < 2.0 ** 900:
         x, y, _ = rescaled(x, y)
         n = x * x + y * y
-    return abs(quadratic_form(x, y)) <= e * n
+    return abs(quadratic_form(x, y)) <= _null_eps * n

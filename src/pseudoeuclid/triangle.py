@@ -26,9 +26,8 @@ from .errors import (
     InvalidInput,
     NullDirection,
     NullSide,
-    ParallelRays,
 )
-from .geometry import Motion, PointP, displacement, square_distance
+from .geometry import Motion, PointP, _meet, displacement, square_distance
 from .hypnum import HyperbolicNumber, angle_between
 
 log = logging.getLogger(__name__)
@@ -57,15 +56,16 @@ class Triangle:
     p3: PointP
 
     def __post_init__(self) -> None:
+        sides = []
         for name, (a, b) in (
             ("p1p2", (self.p1, self.p2)),
             ("p2p3", (self.p2, self.p3)),
             ("p1p3", (self.p1, self.p3)),
         ):
-            if displacement(a, b).is_null():
+            sides.append(displacement(a, b))
+            if sides[-1].is_null():
                 raise NullSide(f"side {name} lies on a null line")
-        e1 = displacement(self.p1, self.p2)
-        e2 = displacement(self.p1, self.p3)
+        e1, _, e2 = sides
         two_s = self._two_s(self.p1, self.p2, self.p3)
         scale = math.hypot(e1.x, e1.y) * math.hypot(e2.x, e2.y)
         if abs(two_s) <= DEGENERACY_TOL * scale:
@@ -208,6 +208,15 @@ def _rel_close(got: float, want: float) -> bool:
     return abs(got - want) <= SOLVE_SIDE_TOL * max(abs(got), abs(want))
 
 
+def _reproduces(tri: Triangle, angles: tuple[ExtendedAngle | None, ...],
+                D: tuple[float | None, ...]) -> bool:
+    """The solvers' round trip: tri has each given vertex angle and square
+    side (entries left None are not checked)."""
+    el = tri.elements()
+    return (all(want is None or _angles_close(got, want) for got, want in zip(el.angles, angles))
+            and all(want is None or _rel_close(got, want) for got, want in zip(el.D, D)))
+
+
 def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
     """All triangles with vertex angle theta1, opposite square side D1, and
     adjacent square side D3 (the side from p1 to p2).
@@ -238,12 +247,8 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
             tri = Triangle(*_place(theta1, d2, D3))
         except (NullSide, DegenerateTriangle):
             continue
-        el = tri.elements()
-        if not _angles_close(el.angles[0], theta1):
-            continue
-        if not (_rel_close(el.D[0], D1) and _rel_close(el.D[2], D3)):
-            continue
-        solutions.append(tri)
+        if _reproduces(tri, (theta1, None, None), (D1, None, D3)):
+            solutions.append(tri)
     return solutions
 
 
@@ -254,32 +259,17 @@ def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triang
     theta1 = _as_angle("theta1", theta1)
     theta2 = _as_angle("theta2", theta2)
     D3 = _as_square("D3", D3)
-    sign3 = 1.0 if D3 > 0 else -1.0
-    d3 = math.sqrt(abs(D3))
-    if D3 > 0:
-        p1, p2 = PointP(0.0, 0.0), PointP(d3, 0.0)
-        u12 = HyperbolicNumber(1.0, 0.0)
-    else:
-        p1, p2 = PointP(0.0, 0.0), PointP(0.0, -d3)
-        u12 = HyperbolicNumber(0.0, -1.0)
-    # ray directions: rotate the base side by each vertex angle (conjugated at
-    # p2 because the angle there opens back toward p1)
-    e1 = sign3 * (_angle.euler(theta1) * u12)
-    e2 = sign3 * ((-u12) * _angle.euler(theta2).conjugate())
-    den = e1.x * e2.y - e1.y * e2.x
-    norm = math.hypot(e1.x, e1.y) * math.hypot(e2.x, e2.y)
-    if abs(den) <= 1e-12 * norm:
-        raise ParallelRays("the two rays do not intersect")
-    base = displacement(p1, p2)
-    t = (base.x * e2.y - base.y * e2.x) / den
-    p3 = PointP(p1.x + t * e1.x, p1.y + t * e1.y)
+    # the ray at p1 points at the unit-distance placement of p3; the one at p2
+    # turns the unit base direction by theta2, conjugated because that angle
+    # opens back toward p1 (which way a ray points does not move the meet)
+    p1, p2, q = _place(theta1, 1.0, D3)
+    base = HyperbolicNumber(1.0, 0.0) if D3 > 0 else HyperbolicNumber(0.0, -1.0)
+    p3 = _meet(p1, displacement(p1, q), p2, base * _angle.euler(theta2).conjugate())
     try:
         tri = Triangle(p1, p2, p3)
     except (NullSide, DegenerateTriangle) as exc:
         raise Inconsistent("the rays meet in a degenerate configuration") from exc
-    el = tri.elements()
-    if not (_angles_close(el.angles[0], theta1) and _angles_close(el.angles[1], theta2)
-            and _rel_close(el.D[2], D3)):
+    if not _reproduces(tri, (theta1, theta2, None), (None, None, D3)):
         raise Inconsistent("no counterclockwise triangle has these angles on this side")
     return tri
 
@@ -299,9 +289,7 @@ def solve_sas(theta1: ExtendedAngle, D2: float, D3: float) -> Triangle:
         tri = Triangle(*_place(theta1, math.sqrt(abs(D2)), D3))
     except DegenerateTriangle as exc:
         raise Inconsistent("the data determine a flat triangle") from exc
-    el = tri.elements()
-    if not (_angles_close(el.angles[0], theta1)
-            and _rel_close(el.D[1], D2) and _rel_close(el.D[2], D3)):
+    if not _reproduces(tri, (theta1, None, None), (None, D2, D3)):
         raise Inconsistent("no counterclockwise triangle reproduces these data")
     return tri
 
@@ -330,8 +318,7 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
         tri = Triangle(*_place(theta1, d2, D3))
     except (NullDirection, NullSide, DegenerateTriangle) as exc:
         raise Inconsistent("square sides only close into a degenerate figure") from exc
-    el = tri.elements()
-    if not (_rel_close(el.D[0], D1) and _rel_close(el.D[1], D2) and _rel_close(el.D[2], D3)):
+    if not _reproduces(tri, (None, None, None), (D1, D2, D3)):
         raise Inconsistent("constructed triangle fails to reproduce the square sides")
     return tri
 

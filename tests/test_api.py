@@ -1,6 +1,7 @@
-"""The package root re-exports exactly what ``__all__`` lists."""
+"""The package root re-exports exactly what ``__all__`` lists, and defines nothing unread."""
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import types
@@ -28,3 +29,21 @@ def test_readme_tour_imports_from_the_root():
     assert names
     for name in names:
         assert hasattr(pseudoeuclid, name), name
+
+
+def test_every_constant_is_read():
+    # a module-level ALL_CAPS name that nothing loads is dead configuration
+    constants, read = set(), set()
+    for path in pathlib.Path(pseudoeuclid.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                constants |= {t.id for t in node.targets if isinstance(t, ast.Name)
+                              and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert constants
+    assert constants <= read, sorted(constants - read)

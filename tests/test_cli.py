@@ -208,19 +208,29 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert err.startswith("error: cannot write")
 
 
+def strict_json(text: str):
+    """Parse as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_classify_segment_with_overflowing_square(capsys):
     # D overflows to inf, but the kind comes from the scale-free null test
     code, out, _ = run_cli(capsys, "classify", "--segment", "3e200,0", "1e200,0")
     assert code == 0
-    assert json.loads(out)["segment_kind"] == "first"
+    data = strict_json(out)
+    assert data["segment_kind"] == "first"
+    assert data["D"] is None and data["d"] is None
 
 
 def test_classify_point_on_null_line_at_large_scale(capsys):
     code, out, _ = run_cli(capsys, "classify", "--point", "1e200,1e200")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["sector"] == "null+"
     assert data["theta"] is None and data["k"] is None
+    assert data["D"] is None
 
 
 def test_output_file(tmp_path, capsys):

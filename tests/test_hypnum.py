@@ -87,6 +87,15 @@ def test_inverse():
         H(1.0, 1.0).inverse()
 
 
+@pytest.mark.parametrize("z", [H(1e-170, 3e-171), H(-1e170, 3e169), H(2e-300, -7e-300)])
+def test_inverse_at_extreme_scales(z):
+    # D underflows or overflows a double here; the inverse must not
+    w = z.inverse()
+    one = z * w
+    assert one.x == pytest.approx(1.0, rel=1e-15)
+    assert abs(one.y) <= 1e-15
+
+
 @pytest.mark.parametrize("z, sector", [
     (H(0.0, 0.0), Sector.ORIGIN),
     (H(3.0, 1.0), Sector.RIGHT),

@@ -19,6 +19,7 @@ from pseudoeuclid.triangle import (
 )
 
 P = PointP
+P1, H, M1 = KleinIndex.P1, KleinIndex.H, KleinIndex.M1
 A06 = ExtendedAngle(math.atanh(0.6), KleinIndex.P1)
 
 
@@ -144,6 +145,33 @@ def test_asa_negative_base():
     tri = solve_asa(el.angles[0], el.angles[1], el.D[2])
     assert _close(tri.p2, P(0.0, -5.0))
     assert _close(tri.p3, P(5.0, -3.0))
+
+
+@pytest.mark.parametrize("theta1, theta2, D3, want", [
+    ((0.7, P1), (0.2, P1), 2.5,
+     (0.0, 0.0, 1.5811388300841898, 0.0, 0.38924910478493036, 0.23524961620371418)),
+    ((math.atanh(0.6), P1), (0.0, H), 25.0, (0.0, 0.0, 5.0, 0.0, 5.0, 3.0)),
+    ((-0.0, H), (0.4, P1), 3.0, (0.0, 0.0, 1.7320508075688772, 0.0, 0.0, 0.658090906909119)),
+    ((1.272, P1), (-0.563, M1), -11.28,
+     (0.0, 0.0, 0.0, -3.358571124749333, 4.253939672062553, 4.979218705919342)),
+    ((-0.62, M1), (-0.473, H), -42.12,
+     (0.0, 0.0, 0.0, -6.48999229583518, 2.877942625954159, -5.221913016450694)),
+    ((-0.0, H), (-0.2, M1), -3.0,
+     (0.0, 0.0, 0.0, -1.7320508075688772, 0.34186408278971075, 0.0)),
+    ((0.4, H), (-0.4, H), -3.0, ParallelRays),
+])
+def test_asa_vertices_bit_for_bit(theta1, theta2, D3, want):
+    # pinned outputs of the construction: any change in how the rays are
+    # formed or met shows up here, signed zeros included
+    args = (ExtendedAngle(*theta1), ExtendedAngle(*theta2), D3)
+    if want is ParallelRays:
+        with pytest.raises(ParallelRays):
+            solve_asa(*args)
+        return
+    tri = solve_asa(*args)
+    got = tuple(c for p in tri.vertices for c in (p.x, p.y))
+    assert got == want
+    assert [c.hex() for c in got] == [c.hex() for c in want]
 
 
 def test_asa_roundtrips_random_triangles():
