@@ -13,7 +13,7 @@ from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, PseudoEuclidError
 from .geometry import PointP, segment_kind, square_distance
 from .hyperbola import circumscribed
-from .hypnum import HyperbolicNumber, classify_sector, to_polar
+from .hypnum import classify_sector, to_polar
 from .selftest import run_selftest
 from .tol import null_eps, set_null_eps
 from .triangle import Triangle, solve_asa, solve_sas, solve_ssa, solve_sss
@@ -132,8 +132,7 @@ def _flat_triangle(tri: Triangle) -> dict:
 
 def _cmd_classify(args) -> int:
     if args.point is not None:
-        p = _parse_point(args.point)
-        z = HyperbolicNumber(p.x, p.y)
+        z = _parse_point(args.point)
         out = {"x": z.x, "y": z.y, "sector": classify_sector(z).value,
                "D": z.square_module(), "rho": z.module(),
                "theta": None, "k": None}

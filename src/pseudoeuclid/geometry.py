@@ -23,18 +23,9 @@ INCIDENCE_TOL = 1e-9
 PARALLEL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PointP:
-    """A point of the plane (the same coordinates as a hyperbolic number)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
+# a point of the plane is the hyperbolic number with its coordinates, so a
+# motion is a product with a unit number plus a sum
+PointP = HyperbolicNumber
 
 
 class SegmentKind(Enum):
@@ -219,8 +210,7 @@ class Motion:
         return self.rotation.k.kappa > 0
 
     def apply(self, p: PointP) -> PointP:
-        w = HyperbolicNumber(p.x, p.y) * _angle.euler(self.rotation) + self.offset
-        return PointP(w.x, w.y)
+        return p * _angle.euler(self.rotation) + self.offset
 
     def inverted(self) -> "Motion":
         back = ExtendedAngle(-self.rotation.theta, self.rotation.k)

@@ -16,7 +16,7 @@ from enum import Enum
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection
-from .geometry import PELine, PointP, _normalized_dot, displacement, line_intersection, segment_axis
+from .geometry import PELine, PointP, _normalized_dot, displacement, line_intersection, midpoint, segment_axis
 from .hypnum import HyperbolicNumber, angle_between
 from .tol import quadratic_form
 
@@ -83,8 +83,7 @@ class EquilateralHyperbola:
     def point_at(self, a: ExtendedAngle) -> PointP:
         if a.k not in self.arms:
             raise InvalidInput(f"arm {a.k.label} does not occur on this hyperbola")
-        u = _angle.euler(a)
-        return PointP(self.center.x + self.p * u.x, self.center.y + self.p * u.y)
+        return self.center + self.p * _angle.euler(a)
 
     def sample_arm(self, k: KleinIndex, lo: float, hi: float, n: int) -> list[PointP]:
         """n points with evenly spaced parameters on arm k, endpoints included."""
@@ -122,7 +121,7 @@ class EquilateralHyperbola:
 
     def antipode(self, point: PointP) -> PointP:
         d = self._require(point, "point")
-        return PointP(self.center.x - d.x, self.center.y - d.y)
+        return self.center - d
 
     def midpoint_orthogonality_residual(self, a: PointP, b: PointP) -> float:
         """Normalized scalar product between a chord and the radius through
@@ -136,8 +135,7 @@ class EquilateralHyperbola:
         chord = displacement(a, b)
         if chord.is_null():
             raise NullDirection("chord endpoints coincide")
-        mid = HyperbolicNumber((a.x + b.x) / 2.0 - self.center.x,
-                               (a.y + b.y) / 2.0 - self.center.y)
+        mid = midpoint(a, b) - self.center
         if mid.is_null():
             raise NullDirection("chord is a diameter: its midpoint is the center")
         return _normalized_dot(mid, chord)

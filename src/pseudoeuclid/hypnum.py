@@ -14,7 +14,7 @@ from numbers import Real
 
 from . import angle as _angle
 from .angle import ExtendedAngle
-from .errors import NonPositiveRho, NullDirection, NullDivisor
+from .errors import InvalidInput, NonPositiveRho, NullDirection, NullDivisor
 from .tol import is_null_xy, quadratic_form, rescaled
 
 
@@ -82,13 +82,21 @@ class HyperbolicNumber:
         return is_null_xy(self.x, self.y)
 
     def inverse(self) -> "HyperbolicNumber":
-        """conj(z) / (z conj(z)); undefined within tolerance of the null lines."""
+        """conj(z) / (z conj(z)).
+
+        Defined off the null lines (NullDivisor within tolerance of them) for
+        every z whose inverse fits a double; that fails, with InvalidInput,
+        only for |z| below about 1e-296.
+        """
         if self.is_null():
             raise NullDivisor(f"({self.x}, {self.y}) is a null divisor")
         # on the rescaled pair D cannot overflow or underflow, as in module()
         x, y, s = rescaled(self.x, self.y)
         d = quadratic_form(x, y)
-        return HyperbolicNumber(math.ldexp(x / d, s), math.ldexp(-y / d, s))
+        try:
+            return HyperbolicNumber(math.ldexp(x / d, s), math.ldexp(-y / d, s))
+        except OverflowError as exc:
+            raise InvalidInput(f"the inverse of ({self.x}, {self.y}) does not fit a double") from exc
 
 
 def classify_sector(z: HyperbolicNumber) -> Sector:
@@ -131,13 +139,19 @@ def angle_between(v1: HyperbolicNumber, v2: HyperbolicNumber) -> ExtendedAngle:
     The pair (x1 x2 - y1 y2, x1 y2 - x2 y1) is the component pair of
     v2 * conj(v1), whose angle is the angle of v2 as seen from v1.  Its null
     coordinates factor as (x2 + y2)(x1 - y1) and (x2 - y2)(x1 + y1), so they
-    are formed without cancellation and need no normalization.
+    are formed without cancellation and need no normalization.  The angle does
+    not depend on either vector's positive scale, so where these products
+    overflow or underflow they are formed again on each vector rescaled by a
+    power of two.
     """
     if v1.is_null() or v2.is_null():
         raise NullDirection("angle between null vectors is undefined")
-    return _angle._from_null_coords(
-        v1.x * v2.x - v1.y * v2.y,
-        v1.x * v2.y - v1.y * v2.x,
-        (v2.x + v2.y) * (v1.x - v1.y),
-        (v2.x - v2.y) * (v1.x + v1.y),
-    )
+    x1, y1, x2, y2 = v1.x, v1.y, v2.x, v2.y
+    u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
+    # the pair is ((u + w)/2, (u - w)/2): with u and w inside the band of
+    # tol.is_null_xy no product overflowed or lost precision to underflow
+    if not (2.0 ** -900 < abs(u) < 2.0 ** 900 and 2.0 ** -900 < abs(w) < 2.0 ** 900):
+        x1, y1, _ = rescaled(x1, y1)
+        x2, y2, _ = rescaled(x2, y2)
+        u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
+    return _angle._from_null_coords(x1 * x2 - y1 * y2, x1 * y2 - y1 * x2, u, w)

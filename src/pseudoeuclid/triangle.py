@@ -170,7 +170,7 @@ class Triangle:
         target = KleinIndex.P1 if a.k.kappa > 0 else KleinIndex.MH
         rot = ExtendedAngle(-a.theta, target * a.k)
         spin = _angle.euler(rot)
-        shift = -(HyperbolicNumber(self.p1.x, self.p1.y) * spin)
+        shift = -(self.p1 * spin)
         motion = Motion(rot, shift)
         return motion, self.transformed(motion)
 
@@ -308,7 +308,8 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
     d2 = math.sqrt(abs(D2))
     d3 = math.sqrt(abs(D3))
     c1 = (D2 + D3 - D1) / (2.0 * d2 * d3)
-    kappa = 1.0 if D2 * D3 > 0 else -1.0
+    # compared by sign: the product D2 * D3 can underflow to zero
+    kappa = 1.0 if (D2 > 0) == (D3 > 0) else -1.0
     s1_sq = c1 * c1 - kappa
     if s1_sq <= 0.0:
         raise Inconsistent("square sides violate the realizability condition")

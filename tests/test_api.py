@@ -1,7 +1,9 @@
-"""The package root re-exports exactly what ``__all__`` lists, and defines nothing unread."""
+"""The package root re-exports exactly what ``__all__`` lists, defines nothing unread,
+and has one type per shape of record."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import pathlib
 import re
 import types
@@ -47,3 +49,15 @@ def test_every_constant_is_read():
                 read.add(node.attr)
     assert constants
     assert constants <= read, sorted(constants - read)
+
+
+def test_no_two_dataclasses_share_their_fields():
+    # two classes with the same fields are one type kept twice, with hand
+    # conversions between them
+    classes = {v for mod in vars(pseudoeuclid).values() if isinstance(mod, types.ModuleType)
+               for v in vars(mod).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+    by_fields: dict[tuple, list[str]] = {}
+    for cls in classes:
+        by_fields.setdefault(tuple(f.name for f in dataclasses.fields(cls)), []).append(cls.__name__)
+    assert len(by_fields) >= 8
+    assert all(len(names) == 1 for names in by_fields.values()), by_fields

@@ -35,6 +35,13 @@ def test_point_validation():
         P(math.nan, 0.0)
 
 
+def test_points_carry_the_ring_operations():
+    # a point is the hyperbolic number with its coordinates
+    assert P(5, 3) - P(1, 1) == displacement(P(1, 1), P(5, 3))
+    assert P(5, 3).square_module() == 16.0
+    assert P(5, 3) == H(5, 3)
+
+
 def test_square_distance_and_kinds():
     assert square_distance(P(0, 0), P(5, 3)) == 16.0
     assert segment_kind(P(0, 0), P(5, 3)) is SegmentKind.FIRST

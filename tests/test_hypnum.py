@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex
-from pseudoeuclid.errors import NonPositiveRho, NullDirection, NullDivisor
+from pseudoeuclid.errors import InvalidInput, NonPositiveRho, NullDirection, NullDivisor
 from pseudoeuclid.hypnum import (
     HyperbolicNumber,
     Sector,
@@ -87,9 +87,15 @@ def test_inverse():
         H(1.0, 1.0).inverse()
 
 
-@pytest.mark.parametrize("z", [H(1e-170, 3e-171), H(-1e170, 3e169), H(2e-300, -7e-300)])
+@pytest.mark.parametrize("z", [H(1e-170, 3e-171), H(-1e170, 3e169), H(2e-300, -7e-300),
+                               H(5e-324, 0.0), H(1e-310, 2e-311)])
 def test_inverse_at_extreme_scales(z):
-    # D underflows or overflows a double here; the inverse must not
+    # D underflows or overflows a double here; the inverse must not.  Below
+    # |z| ~ 1e-308 the inverse itself exceeds double range: a domain error.
+    if math.hypot(z.x, z.y) < 1e-300:
+        with pytest.raises(InvalidInput, match="does not fit a double"):
+            z.inverse()
+        return
     w = z.inverse()
     one = z * w
     assert one.x == pytest.approx(1.0, rel=1e-15)
@@ -196,6 +202,15 @@ def test_angle_between_is_translation_free_pair():
     b = angle_between(H(20.0, 10.0), H(0.5, 1.0))
     assert a.k is b.k
     assert a.theta == pytest.approx(b.theta, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_angle_between_at_extreme_scales(scale):
+    # the products underflow or overflow here; the angle does not depend on scale
+    want = angle_between(H(1.0, 0.3), H(2.0, 0.5))
+    got = angle_between(H(scale, 0.3 * scale), H(2.0 * scale, 0.5 * scale))
+    assert got.k is want.k
+    assert got.theta == pytest.approx(want.theta, rel=1e-15)
 
 
 def test_angle_between_rejects_null():

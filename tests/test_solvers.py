@@ -271,6 +271,15 @@ def test_sss_roundtrips_random_triangles():
         assert _same_triangle(tri, canon)
 
 
+def test_sss_at_tiny_scale():
+    # D2 * D3 underflows to zero here, yet the sides are those of the worked
+    # example scaled by 1e-85
+    tri = solve_sss(-9e-170, 1.6e-169, 2.5e-169)
+    for p, want in zip(tri.vertices, [(0.0, 0.0), (5.0, 0.0), (5.0, 3.0)]):
+        assert p.x / 1e-85 == pytest.approx(want[0], abs=1e-12)
+        assert p.y / 1e-85 == pytest.approx(want[1], abs=1e-12)
+
+
 def test_sss_rejects_null_side():
     with pytest.raises(NullSide):
         solve_sss(0.0, 16.0, 25.0)
