@@ -19,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import NullDirection, OverflowingAngle
-from .tol import is_null_xy, null_eps
+from .tol import is_null_xy, null_eps, rescaled
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hypnum import HyperbolicNumber
@@ -83,7 +83,8 @@ class ExtendedAngle:
     k: KleinIndex = KleinIndex.P1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta))
+        if type(self.theta) is not float:
+            object.__setattr__(self, "theta", float(self.theta))
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
         if not isinstance(self.k, KleinIndex):
@@ -140,7 +141,13 @@ def from_point(x: float, y: float) -> ExtendedAngle:
     """
     if is_null_xy(x, y):
         raise NullDirection(f"({x}, {y}) has no extended angle")
-    return _from_null_coords(x, y, x + y, x - y)
+    u, w = x + y, x - y
+    # the angle does not depend on the scale: where a sum overflows, use a
+    # copy scaled by a power of two
+    if not (math.isfinite(u) and math.isfinite(w)):
+        x, y, _ = rescaled(x, y)
+        u, w = x + y, x - y
+    return _from_null_coords(x, y, u, w)
 
 
 def add_angles(a: ExtendedAngle, b: ExtendedAngle) -> ExtendedAngle:

@@ -40,7 +40,11 @@ def displacement(p: PointP, q: PointP) -> HyperbolicNumber:
 
 
 def midpoint(p: PointP, q: PointP) -> PointP:
-    return PointP((p.x + q.x) / 2.0, (p.y + q.y) / 2.0)
+    x, y = (p.x + q.x) / 2.0, (p.y + q.y) / 2.0
+    # a sum near the largest double overflows; halving first does not
+    if not (math.isfinite(x) and math.isfinite(y)):
+        x, y = p.x / 2.0 + q.x / 2.0, p.y / 2.0 + q.y / 2.0
+    return PointP(x, y)
 
 
 def square_distance(p: PointP, q: PointP) -> float:

@@ -36,8 +36,11 @@ class HyperbolicNumber:
     y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+        # an exact float is kept as is: writing every value back cost more than the check
+        if type(self.x) is not float:
+            object.__setattr__(self, "x", float(self.x))
+        if type(self.y) is not float:
+            object.__setattr__(self, "y", float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"components must be finite, got ({self.x!r}, {self.y!r})")
 

@@ -14,7 +14,6 @@ positive, and the familiar relations hold with ordinary signs:
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ from .errors import (
 )
 from .geometry import Motion, PointP, _meet, displacement, square_distance
 from .hypnum import HyperbolicNumber, angle_between
-
-log = logging.getLogger(__name__)
 
 DEGENERACY_TOL = 1e-12
 RIGHT_ANGLE_TOL = 1e-9
@@ -93,19 +90,28 @@ class Triangle:
         The angle at a vertex is measured from the ray toward the next
         counterclockwise vertex to the ray toward the previous one; with the
         opposite-side labelling this yields sinh_e(theta_i) = 2S/(d_j d_k).
+
+        The record is computed on the first call and the same immutable object
+        is returned on every later one, so it reflects the null tolerance in
+        force at that first call.  It is kept outside the dataclass fields:
+        equality, hashing and repr see only the vertices.
         """
-        D1 = square_distance(self.p2, self.p3)
-        D2 = square_distance(self.p1, self.p3)
-        D3 = square_distance(self.p1, self.p2)
-        a1 = angle_between(displacement(self.p1, self.p2), displacement(self.p1, self.p3))
-        a2 = angle_between(displacement(self.p2, self.p3), displacement(self.p2, self.p1))
-        a3 = angle_between(displacement(self.p3, self.p1), displacement(self.p3, self.p2))
-        return TriangleElements(
-            (D1, D2, D3),
-            (math.sqrt(abs(D1)), math.sqrt(abs(D2)), math.sqrt(abs(D3))),
-            (a1, a2, a3),
-            self.signed_area(),
-        )
+        el = self.__dict__.get("_elements")
+        if el is None:
+            D1 = square_distance(self.p2, self.p3)
+            D2 = square_distance(self.p1, self.p3)
+            D3 = square_distance(self.p1, self.p2)
+            a1 = angle_between(displacement(self.p1, self.p2), displacement(self.p1, self.p3))
+            a2 = angle_between(displacement(self.p2, self.p3), displacement(self.p2, self.p1))
+            a3 = angle_between(displacement(self.p3, self.p1), displacement(self.p3, self.p2))
+            el = TriangleElements(
+                (D1, D2, D3),
+                (math.sqrt(abs(D1)), math.sqrt(abs(D2)), math.sqrt(abs(D3))),
+                (a1, a2, a3),
+                self.signed_area(),
+            )
+            object.__setattr__(self, "_elements", el)
+        return el
 
     def law_of_sines_residual(self) -> float:
         """Largest relative deviation of sinh_e(theta_i)/d_i from 2S/(d1 d2 d3)."""
@@ -114,7 +120,10 @@ class Triangle:
         worst = 0.0
         for i in range(3):
             ratio = _angle.sinh_e(el.angles[i]) / el.d[i]
-            worst = max(worst, abs(ratio - ref) / abs(ref))
+            r = abs(ratio - ref) / abs(ref)
+            # unlike max(), this keeps a NaN wherever it comes
+            if r > worst or r != r:
+                worst = r
         return worst
 
     def law_of_cosines_check(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
@@ -136,8 +145,6 @@ class Triangle:
             cos_res.append(abs(el.D[i] - rhs) / scale)
             interior = (el.d[j] * _angle.cosh_e(el.angles[k])
                         + el.d[k] * _angle.cosh_e(el.angles[j]))
-            if interior < 0.0:
-                log.debug("projection interior for side %d is negative (%g)", i + 1, interior)
             proj_res.append(abs(el.d[i] - abs(interior)) / max(1.0, el.d[i]))
         return tuple(cos_res), tuple(proj_res)
 

@@ -140,6 +140,13 @@ def test_from_point_on_axes_at_extreme_scales(x, y, k):
     assert from_point(x, y) == ExtendedAngle(0.0, k)
 
 
+@pytest.mark.parametrize("x, y", [(1.7e308, 1e308), (-1.7e308, -1e308),
+                                  (1.7e308, -1e308), (1e308, -1.7e308)])
+def test_from_point_where_a_null_coordinate_overflows(x, y):
+    # x + y or x - y overflows; a power-of-two scaling changes no bit of the angle
+    assert from_point(x, y) == from_point(x / 4.0, y / 4.0)
+
+
 def test_overflow_guard():
     c, s = cosh_sinh(ExtendedAngle(THETA_MAX))
     assert math.isfinite(c) and math.isfinite(s)
@@ -164,6 +171,32 @@ def test_angle_validation():
         ExtendedAngle(math.nan)
     with pytest.raises(ValueError):
         ExtendedAngle(1.0, "+1")  # type: ignore[arg-type]
+
+
+class _Real(float):
+    pass
+
+
+@pytest.mark.parametrize("theta", [1, True, _Real(0.5), 0.5])
+def test_angle_theta_is_an_exact_float(theta):
+    assert type(ExtendedAngle(theta).theta) is float
+    assert ExtendedAngle(theta).theta == float(theta)
+
+
+@pytest.mark.parametrize("theta, exc, message", [
+    ("abc", ValueError, "could not convert string to float: 'abc'"),
+    (None, TypeError, None),
+    (math.nan, ValueError, "theta must be finite, got nan"),
+    (math.inf, ValueError, "theta must be finite, got inf"),
+])
+def test_angle_rejects_with_the_same_messages(theta, exc, message):
+    if message is None:  # the message of float() itself, which varies by Python version
+        with pytest.raises(exc) as want:
+            float(theta)
+        message = str(want.value)
+    with pytest.raises(exc) as got:
+        ExtendedAngle(theta)
+    assert str(got.value) == message
 
 
 def test_circle_map_lands_on_unit_hyperbolas():

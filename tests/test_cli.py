@@ -233,6 +233,18 @@ def test_classify_point_on_null_line_at_large_scale(capsys):
     assert data["D"] is None
 
 
+@pytest.mark.parametrize("point", ["1.7e308,1e308", "1e308,-1.7e308"])
+def test_classify_point_whose_null_coordinate_overflows(capsys, point):
+    # x + y or x - y overflows a double; the angle is that of the point / 4
+    code, out, _ = run_cli(capsys, "classify", f"--point={point}")
+    assert code == 0
+    data = strict_json(out)
+    x, y = (float(t) / 4.0 for t in point.split(","))
+    _, quarter, _ = run_cli(capsys, "classify", f"--point={x!r},{y!r}")
+    want = strict_json(quarter)
+    assert (data["theta"], data["k"], data["sector"]) == (want["theta"], want["k"], want["sector"])
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),

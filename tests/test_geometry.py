@@ -53,6 +53,13 @@ def test_midpoint():
     assert midpoint(P(0, 0), P(4, 6)) == P(2, 3)
 
 
+def test_midpoint_near_the_largest_double():
+    # p.x + q.x overflows; the axis, and so circumscribed, use this midpoint
+    assert midpoint(P(1.5e308, 0), P(1.5e308, 1)) == P(1.5e308, 0.5)
+    assert midpoint(P(-1.5e308, 1e308), P(-1.7e308, 1e308)) == P(-1.6e308, 1e308)
+    assert segment_axis(P(1.5e308, 0), P(1.5e308, 1)).anchor == P(1.5e308, 0.5)
+
+
 def test_line_normalizes_direction():
     line = PELine(P(0, 0), H(10.0, 6.0))
     assert line.direction.square_module() == pytest.approx(1.0, rel=1e-12)

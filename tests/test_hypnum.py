@@ -225,6 +225,36 @@ def test_number_validation_and_dict():
         H(math.inf, 0.0)
 
 
+class _Real(float):
+    pass
+
+
+@pytest.mark.parametrize("x, y", [(1, True), (_Real(2.5), -3), (1.5, _Real(0.25)), (1.5, -0.0)])
+def test_components_are_exact_floats(x, y):
+    z = H(x, y)
+    assert type(z.x) is float and type(z.y) is float
+    assert (z.x, z.y) == (float(x), float(y))
+    assert math.copysign(1.0, z.y) == math.copysign(1.0, float(y))
+
+
+@pytest.mark.parametrize("x, y, exc, message", [
+    ("abc", 1.0, ValueError, "could not convert string to float: 'abc'"),
+    (1.0, "abc", ValueError, "could not convert string to float: 'abc'"),
+    (None, 1.0, TypeError, None),
+    (math.nan, 1.0, ValueError, "components must be finite, got (nan, 1.0)"),
+    (1, math.inf, ValueError, "components must be finite, got (1.0, inf)"),
+    (math.nan, "abc", ValueError, "could not convert string to float: 'abc'"),
+])
+def test_number_rejects_with_the_same_messages(x, y, exc, message):
+    if message is None:  # the message of float() itself, which varies by Python version
+        with pytest.raises(exc) as want:
+            float(x)
+        message = str(want.value)
+    with pytest.raises(exc) as got:
+        H(x, y)
+    assert str(got.value) == message
+
+
 def test_foreign_operand_rejected():
     with pytest.raises(TypeError):
         H(1.0, 0.0) + "x"  # type: ignore[operator]

@@ -1,12 +1,64 @@
-"""Seeds of the identity suite that once failed, kept beside the acceptance seed."""
+"""The identity suite: seeds that once failed, kept beside the acceptance
+seed, and guards on how its verdicts and its work are computed."""
 from __future__ import annotations
+
+import math
 
 import pytest
 
+from pseudoeuclid import triangle
 from pseudoeuclid.selftest import run_selftest
+from pseudoeuclid.triangle import Triangle
 
 
 @pytest.mark.parametrize("seed, n", [(0, 10_000), (61, 300), (135, 300), (278, 300)])
 def test_formerly_failing_seeds_pass(seed, n):
     report = run_selftest(seed, n)
     assert report["ok"], report["failed"]
+
+
+def _nan_on_call(method, which, nan_value):
+    calls = []
+
+    def patched(self):
+        calls.append(self)
+        return nan_value if len(calls) == which else method(self)
+
+    return patched
+
+
+# the law-of-cosines suite makes the first 50 calls of law_of_cosines_check,
+# the projection suite the next 50
+@pytest.mark.parametrize("method, call, nan_value, suite", [
+    ("law_of_sines_residual", 25, math.nan, "law-of-sines"),
+    ("law_of_cosines_check", 25, ((0.0, math.nan, 0.0), (0.0, 0.0, 0.0)), "law-of-cosines"),
+    ("law_of_cosines_check", 75, ((0.0, 0.0, 0.0), (0.0, math.nan, 0.0)), "projection-law"),
+])
+def test_nan_residual_in_the_middle_of_the_pool_fails_its_suite(monkeypatch, method, call,
+                                                                 nan_value, suite):
+    # max() keeps a NaN only when it comes first; the middle of 50 must still fail
+    monkeypatch.setattr(Triangle, method, _nan_on_call(getattr(Triangle, method), call, nan_value))
+    report = run_selftest(5, 50)
+    assert math.isnan(report["checks"][suite]["worst"])
+    assert not report["checks"][suite]["ok"]
+    assert suite in report["failed"] and not report["ok"]
+
+
+def test_each_triangle_computes_its_angles_once(monkeypatch):
+    counts = {"angle_between": 0, "triangles": 0}
+    angle_between, post_init = triangle.angle_between, Triangle.__post_init__
+
+    def counted_angle_between(v1, v2):
+        counts["angle_between"] += 1
+        return angle_between(v1, v2)
+
+    def counted_post_init(self):
+        post_init(self)
+        counts["triangles"] += 1
+
+    monkeypatch.setattr(triangle, "angle_between", counted_angle_between)
+    monkeypatch.setattr(Triangle, "__post_init__", counted_post_init)
+    run_selftest(5, 50)
+    # the suites ask each triangle for its elements up to 7 times
+    assert counts["triangles"] == 150
+    assert counts["angle_between"] == 3 * counts["triangles"]

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
+from pseudoeuclid import angle as _angle
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_e, sinh_e
 from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
 from pseudoeuclid.geometry import Motion, PointP
@@ -156,3 +160,46 @@ def test_second_fixture_vertex_pair():
     a1 = el.angles[0]
     assert cosh_e(a1) == pytest.approx(3.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
     assert sinh_e(a1) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
+
+
+def test_elements_are_computed_once_and_shared(tri):
+    assert tri.elements() is tri.elements()
+
+
+def test_first_elements_call_leaves_the_value_unchanged():
+    fresh = Triangle(P(2.0, 1.0), P(6.5, 2.5), P(3.0, 4.0))
+    twin = Triangle(P(2.0, 1.0), P(6.5, 2.5), P(3.0, 4.0))
+    before = (hash(fresh), repr(fresh), dataclasses.fields(fresh), dataclasses.astuple(fresh))
+    fresh.elements()
+    assert (hash(fresh), repr(fresh), dataclasses.fields(fresh), dataclasses.astuple(fresh)) == before
+    assert fresh == twin and twin == fresh
+    assert {fresh, twin} == {twin}
+
+
+@pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy])
+def test_copies_compare_equal_and_agree(tri, clone):
+    el = tri.elements()
+    other = clone(tri)
+    assert other == tri and hash(other) == hash(tri)
+    assert other.elements() == el
+
+
+def test_derived_triangles_compute_their_own_elements():
+    src = Triangle(P(2.0, 1.0), P(6.5, 2.5), P(3.0, 4.0))
+    el = src.elements()
+    moved = src.transformed(Motion(ExtendedAngle(1.1, KleinIndex.M1), HyperbolicNumber(3.0, -2.0)))
+    for derived in (moved, src.canonicalize()[1]):
+        assert derived.elements() is not el
+        assert derived.elements() == Triangle(*derived.vertices).elements()
+
+
+def test_law_of_sines_keeps_a_nan_ratio(tri, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN in the middle must not read as a pass
+    sinh_e, calls = _angle.sinh_e, []
+
+    def nan_second(a):
+        calls.append(a)
+        return math.nan if len(calls) == 2 else sinh_e(a)
+
+    monkeypatch.setattr(_angle, "sinh_e", nan_second)
+    assert math.isnan(tri.law_of_sines_residual())
