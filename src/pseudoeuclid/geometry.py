@@ -54,6 +54,10 @@ def square_distance(p: PointP, q: PointP) -> float:
 
 def segment_kind(p: PointP, q: PointP) -> SegmentKind:
     dx, dy = q.x - p.x, q.y - p.y
+    # as in midpoint: a difference near the largest double overflows, the
+    # difference of the halves does not, and halving keeps the kind
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        dx, dy = q.x / 2.0 - p.x / 2.0, q.y / 2.0 - p.y / 2.0
     if is_null_xy(dx, dy):
         return SegmentKind.NULL
     # off the null lines |dx| > |dy| is the sign of D, and cannot underflow

@@ -146,10 +146,18 @@ def angle_between(v1: HyperbolicNumber, v2: HyperbolicNumber) -> ExtendedAngle:
     not depend on either vector's positive scale, so where these products
     overflow or underflow they are formed again on each vector rescaled by a
     power of two.
+
+    This is the null test followed by the one angle kernel, which
+    ``Triangle.elements()`` calls directly on coordinates it has already
+    tested.
     """
     if v1.is_null() or v2.is_null():
         raise NullDirection("angle between null vectors is undefined")
-    x1, y1, x2, y2 = v1.x, v1.y, v2.x, v2.y
+    return _angle_of(v1.x, v1.y, v2.x, v2.y)
+
+
+def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
+    # the angle from (x1, y1) to (x2, y2); both must be finite and non-null
     u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
     # the pair is ((u + w)/2, (u - w)/2): with u and w inside the band of
     # tol.is_null_xy no product overflowed or lost precision to underflow

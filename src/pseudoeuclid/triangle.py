@@ -26,8 +26,10 @@ from .errors import (
     NullDirection,
     NullSide,
 )
-from .geometry import Motion, PointP, _meet, displacement, square_distance
-from .hypnum import HyperbolicNumber, angle_between
+from .geometry import Motion, PointP, _meet, displacement
+# angle_between is re-exported: the public angle is reachable from this module too
+from .hypnum import HyperbolicNumber, _angle_of, angle_between  # noqa: F401
+from .tol import is_null_xy, quadratic_form
 
 DEGENERACY_TOL = 1e-12
 RIGHT_ANGLE_TOL = 1e-9
@@ -53,22 +55,20 @@ class Triangle:
     p3: PointP
 
     def __post_init__(self) -> None:
-        sides = []
-        for name, (a, b) in (
-            ("p1p2", (self.p1, self.p2)),
-            ("p2p3", (self.p2, self.p3)),
-            ("p1p3", (self.p1, self.p3)),
-        ):
-            sides.append(displacement(a, b))
-            if sides[-1].is_null():
+        p1, p2, p3 = self.p1, self.p2, self.p3
+        sides = ((p2.x - p1.x, p2.y - p1.y), (p3.x - p2.x, p3.y - p2.y),
+                 (p3.x - p1.x, p3.y - p1.y))
+        for name, (dx, dy) in zip(("p1p2", "p2p3", "p1p3"), sides):
+            if not (math.isfinite(dx) and math.isfinite(dy)):
+                raise ValueError(f"components must be finite, got ({dx!r}, {dy!r})")
+            if is_null_xy(dx, dy):
                 raise NullSide(f"side {name} lies on a null line")
-        e1, _, e2 = sides
-        two_s = self._two_s(self.p1, self.p2, self.p3)
-        scale = math.hypot(e1.x, e1.y) * math.hypot(e2.x, e2.y)
+        (x1, y1), _, (x2, y2) = sides
+        two_s = self._two_s(p1, p2, p3)
+        scale = math.hypot(x1, y1) * math.hypot(x2, y2)
         if abs(two_s) <= DEGENERACY_TOL * scale:
             raise DegenerateTriangle("vertices are collinear")
         if two_s < 0.0:
-            p2, p3 = self.p2, self.p3
             object.__setattr__(self, "p2", p3)
             object.__setattr__(self, "p3", p2)
 
@@ -90,6 +90,8 @@ class Triangle:
         The angle at a vertex is measured from the ray toward the next
         counterclockwise vertex to the ray toward the previous one; with the
         opposite-side labelling this yields sinh_e(theta_i) = 2S/(d_j d_k).
+        Everything is computed from the vertex coordinates; a side that the
+        current null tolerance calls null raises NullDirection.
 
         The record is computed on the first call and the same immutable object
         is returned on every later one, so it reflects the null tolerance in
@@ -98,16 +100,21 @@ class Triangle:
         """
         el = self.__dict__.get("_elements")
         if el is None:
-            D1 = square_distance(self.p2, self.p3)
-            D2 = square_distance(self.p1, self.p3)
-            D3 = square_distance(self.p1, self.p2)
-            a1 = angle_between(displacement(self.p1, self.p2), displacement(self.p1, self.p3))
-            a2 = angle_between(displacement(self.p2, self.p3), displacement(self.p2, self.p1))
-            a3 = angle_between(displacement(self.p3, self.p1), displacement(self.p3, self.p2))
+            p1, p2, p3 = self.p1, self.p2, self.p3
+            # six rays, each its own difference: negating one would flip a zero's sign
+            x12, y12, x13, y13 = p2.x - p1.x, p2.y - p1.y, p3.x - p1.x, p3.y - p1.y
+            x23, y23, x21, y21 = p3.x - p2.x, p3.y - p2.y, p1.x - p2.x, p1.y - p2.y
+            x31, y31, x32, y32 = p1.x - p3.x, p1.y - p3.y, p2.x - p3.x, p2.y - p3.y
+            # a ray and its reverse are null together; the null tolerance may
+            # have been raised since construction
+            if is_null_xy(x12, y12) or is_null_xy(x23, y23) or is_null_xy(x13, y13):
+                raise NullDirection("angle between null vectors is undefined")
+            D1, D2, D3 = quadratic_form(x23, y23), quadratic_form(x13, y13), quadratic_form(x12, y12)
             el = TriangleElements(
                 (D1, D2, D3),
                 (math.sqrt(abs(D1)), math.sqrt(abs(D2)), math.sqrt(abs(D3))),
-                (a1, a2, a3),
+                (_angle_of(x12, y12, x13, y13), _angle_of(x23, y23, x21, y21),
+                 _angle_of(x31, y31, x32, y32)),
                 self.signed_area(),
             )
             object.__setattr__(self, "_elements", el)
@@ -134,17 +141,16 @@ class Triangle:
         side modulus.
         """
         el = self.elements()
+        cos = [_angle.cosh_e(a) for a in el.angles]
         cos_res = []
         proj_res = []
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
-            ci = _angle.cosh_e(el.angles[i])
-            rhs = el.D[j] + el.D[k] - 2.0 * el.d[j] * el.d[k] * ci
+            rhs = el.D[j] + el.D[k] - 2.0 * el.d[j] * el.d[k] * cos[i]
             scale = max(1.0, abs(el.D[i]), abs(el.D[j]), abs(el.D[k]),
-                        2.0 * el.d[j] * el.d[k] * abs(ci))
+                        2.0 * el.d[j] * el.d[k] * abs(cos[i]))
             cos_res.append(abs(el.D[i] - rhs) / scale)
-            interior = (el.d[j] * _angle.cosh_e(el.angles[k])
-                        + el.d[k] * _angle.cosh_e(el.angles[j]))
+            interior = el.d[j] * cos[k] + el.d[k] * cos[j]
             proj_res.append(abs(el.d[i] - abs(interior)) / max(1.0, el.d[i]))
         return tuple(cos_res), tuple(proj_res)
 
@@ -162,7 +168,9 @@ class Triangle:
         return _angle.add_angles(_angle.add_angles(el.angles[0], el.angles[1]), el.angles[2])
 
     def transformed(self, motion: Motion) -> "Triangle":
-        return Triangle(motion.apply(self.p1), motion.apply(self.p2), motion.apply(self.p3))
+        # the products Motion.apply forms, with the unit computed once
+        u, offset = _angle.euler(motion.rotation), motion.offset
+        return Triangle(self.p1 * u + offset, self.p2 * u + offset, self.p3 * u + offset)
 
     def canonicalize(self) -> tuple[Motion, "Triangle"]:
         """The proper motion taking p1 to the origin and p2 onto an axis.

@@ -245,6 +245,14 @@ def test_classify_point_whose_null_coordinate_overflows(capsys, point):
     assert (data["theta"], data["k"], data["sector"]) == (want["theta"], want["k"], want["sector"])
 
 
+def test_classify_segment_whose_difference_overflows(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--segment", "0,-1.5e308", "0,1.5e308")
+    assert code == 0
+    data = strict_json(out)
+    assert data["segment_kind"] == "second"
+    assert data["D"] is None
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),

@@ -60,6 +60,16 @@ def test_midpoint_near_the_largest_double():
     assert segment_axis(P(1.5e308, 0), P(1.5e308, 1)).anchor == P(1.5e308, 0.5)
 
 
+@pytest.mark.parametrize("p, q, kind", [
+    (P(0, -1.5e308), P(0, 1.5e308), SegmentKind.SECOND),
+    (P(-1.5e308, 0), P(1.5e308, 1), SegmentKind.FIRST),
+    (P(1.5e308, 1.5e308), P(-1.5e308, -1.5e308), SegmentKind.NULL),
+])
+def test_segment_kind_where_the_difference_overflows(p, q, kind):
+    # q - p overflows to inf, and inf is null against any finite component
+    assert segment_kind(p, q) is kind
+
+
 def test_line_normalizes_direction():
     line = PELine(P(0, 0), H(10.0, 6.0))
     assert line.direction.square_module() == pytest.approx(1.0, rel=1e-12)

@@ -1,5 +1,6 @@
-"""The identity suite: seeds that once failed, kept beside the acceptance
-seed, and guards on how its verdicts and its work are computed."""
+"""The identity suite: seeds that once failed and a fixed band of seeds, kept
+beside the acceptance seed, and guards on how its verdicts and its work are
+computed."""
 from __future__ import annotations
 
 import math
@@ -15,6 +16,12 @@ from pseudoeuclid.triangle import Triangle
 def test_formerly_failing_seeds_pass(seed, n):
     report = run_selftest(seed, n)
     assert report["ok"], report["failed"]
+
+
+def test_seed_band_passes():
+    # a fixed band beside the acceptance seed; the README has the 0-399 sweep
+    failed = {s: r["failed"] for s in range(64) if not (r := run_selftest(s, 300))["ok"]}
+    assert failed == {}
 
 
 def _nan_on_call(method, which, nan_value):
@@ -45,20 +52,21 @@ def test_nan_residual_in_the_middle_of_the_pool_fails_its_suite(monkeypatch, met
 
 
 def test_each_triangle_computes_its_angles_once(monkeypatch):
-    counts = {"angle_between": 0, "triangles": 0}
-    angle_between, post_init = triangle.angle_between, Triangle.__post_init__
+    counts = {"angles": 0, "triangles": 0}
+    angle_of, post_init = triangle._angle_of, Triangle.__post_init__
 
-    def counted_angle_between(v1, v2):
-        counts["angle_between"] += 1
-        return angle_between(v1, v2)
+    def counted_angle_of(*coords):
+        counts["angles"] += 1
+        return angle_of(*coords)
 
     def counted_post_init(self):
         post_init(self)
         counts["triangles"] += 1
 
-    monkeypatch.setattr(triangle, "angle_between", counted_angle_between)
+    # elements() calls the angle kernel directly, once per vertex
+    monkeypatch.setattr(triangle, "_angle_of", counted_angle_of)
     monkeypatch.setattr(Triangle, "__post_init__", counted_post_init)
     run_selftest(5, 50)
     # the suites ask each triangle for its elements up to 7 times
     assert counts["triangles"] == 150
-    assert counts["angle_between"] == 3 * counts["triangles"]
+    assert counts["angles"] == 3 * counts["triangles"]

@@ -6,12 +6,15 @@ import math
 import pickle
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudoeuclid import angle as _angle
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_e, sinh_e
-from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
-from pseudoeuclid.geometry import Motion, PointP
-from pseudoeuclid.hypnum import HyperbolicNumber
+from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullDirection, NullSide
+from pseudoeuclid.geometry import Motion, PointP, displacement, square_distance
+from pseudoeuclid.hypnum import HyperbolicNumber, angle_between
+from pseudoeuclid.tol import null_eps, set_null_eps
 from pseudoeuclid.triangle import Triangle
 
 P = PointP
@@ -59,6 +62,35 @@ def test_null_side_rejected():
         Triangle(P(0, 0), P(2, 2), P(5, 0))
     with pytest.raises(NullSide):
         Triangle(P(0, 0), P(0, 0), P(5, 3))
+
+
+@pytest.mark.parametrize("vertices, name", [
+    ((P(0, 0), P(1, 1), P(2, 0)), "p1p2"),   # p1p2 and p2p3 null
+    ((P(0, 0), P(3, 1), P(2, 2)), "p2p3"),   # p2p3 and p1p3 null
+    ((P(0, 0), P(1, 1), P(2, -2)), "p1p2"),  # p1p2 and p1p3 null
+])
+def test_null_side_names_the_first_null_side(vertices, name):
+    with pytest.raises(NullSide, match=f"^side {name} lies on a null line$"):
+        Triangle(*vertices)
+
+
+@pytest.mark.parametrize("vertices, i, j", [
+    ((P(-1e308, 0), P(1e308, 0), P(0, 1)), 0, 1),
+    ((P(0, 0), P(1e308, 1), P(-1e308, 0)), 1, 2),
+])
+def test_overflowing_vertex_difference_raises_as_displacement_does(vertices, i, j):
+    with pytest.raises(ValueError) as want:
+        displacement(vertices[i], vertices[j])
+    with pytest.raises(ValueError) as got:
+        Triangle(*vertices)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("components must be finite, got (")
+
+
+def test_null_side_is_reported_before_a_later_overflow():
+    # p1p2 is null; p2p3 overflows but is tested after it
+    with pytest.raises(NullSide, match="p1p2"):
+        Triangle(P(1e308, 1e308), P(1.5e308, 1.5e308), P(-1e308, 0))
 
 
 def test_degenerate_rejected():
@@ -203,3 +235,50 @@ def test_law_of_sines_keeps_a_nan_ratio(tri, monkeypatch):
 
     monkeypatch.setattr(_angle, "sinh_e", nan_second)
     assert math.isnan(tri.law_of_sines_residual())
+
+
+# shared coordinates give zero differences, whose sign a negated ray would flip
+_coord = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 5.0])
+          | st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@given(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3), st.integers(-400, 400))
+@settings(max_examples=500, deadline=None)
+def test_elements_are_the_public_composition_bit_for_bit(xy, k):
+    try:
+        tri = Triangle(*(P(math.ldexp(x, k), math.ldexp(y, k)) for x, y in xy))
+    except (NullSide, DegenerateTriangle):
+        assume(False)
+    p1, p2, p3 = tri.vertices
+    D = (square_distance(p2, p3), square_distance(p1, p3), square_distance(p1, p2))
+    angles = (angle_between(displacement(p1, p2), displacement(p1, p3)),
+              angle_between(displacement(p2, p3), displacement(p2, p1)),
+              angle_between(displacement(p3, p1), displacement(p3, p2)))
+    el = tri.elements()
+    assert [v.hex() for v in el.D] == [v.hex() for v in D]
+    assert [v.hex() for v in el.d] == [math.sqrt(abs(v)).hex() for v in D]
+    assert [a.theta.hex() for a in el.angles] == [a.theta.hex() for a in angles]
+    assert all(a.k is b.k for a, b in zip(el.angles, angles))
+    assert el.S.hex() == tri.signed_area().hex()
+
+
+@pytest.mark.parametrize("vertices", [
+    (P(0, 0), P(5, 3), P(0, 3)),    # p1p2 is the side nearest a null line
+    (P(0, 0), P(5, 0), P(10, 3)),   # p2p3
+    (P(0, 0), P(5, 0), P(5, 3)),    # p1p3
+])
+def test_elements_honour_a_null_tolerance_raised_after_construction(vertices):
+    tri = Triangle(*vertices)
+    before = null_eps()
+    set_null_eps(0.5)
+    try:
+        with pytest.raises(NullDirection) as want:
+            p1, p2, p3 = tri.vertices
+            for a, b, c in ((p1, p2, p3), (p2, p3, p1), (p3, p1, p2)):
+                angle_between(displacement(a, b), displacement(a, c))
+        with pytest.raises(NullDirection) as got:
+            tri.elements()
+    finally:
+        set_null_eps(before)
+    assert str(got.value) == str(want.value)
+    assert "_elements" not in tri.__dict__
