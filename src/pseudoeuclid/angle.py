@@ -16,13 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import NullDirection, OverflowingAngle
 from .tol import is_null_xy, null_eps, rescaled
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .hypnum import HyperbolicNumber
 
 # cosh(350)^2 ~ 2.5e303 still fits in a double, so products of two extended
 # values stay finite; anything larger is refused instead of returning inf.
@@ -91,19 +87,16 @@ class ExtendedAngle:
             raise ValueError(f"k must be a KleinIndex, got {self.k!r}")
 
 
-def _checked_cosh_sinh(theta: float) -> tuple[float, float]:
-    if abs(theta) > THETA_MAX:
-        raise OverflowingAngle(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
-    return math.cosh(theta), math.sinh(theta)
-
-
 def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:
     """Both extended values of ``a`` at once.
 
     The index acts on the plain (cosh, sinh) pair the way its unit number
     multiplies vectors: +1 keeps it, -1 negates it, +-h swaps and signs it.
     """
-    c, s = _checked_cosh_sinh(a.theta)
+    theta = a.theta
+    if abs(theta) > THETA_MAX:
+        raise OverflowingAngle(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
+    c, s = math.cosh(theta), math.sinh(theta)
     k = a.k
     if k is KleinIndex.P1:
         return c, s
@@ -158,14 +151,6 @@ def add_angles(a: ExtendedAngle, b: ExtendedAngle) -> ExtendedAngle:
 def sub_angles(a: ExtendedAngle, b: ExtendedAngle) -> ExtendedAngle:
     # every Klein element is its own inverse, so subtraction reuses k*k'
     return ExtendedAngle(a.theta - b.theta, a.k * b.k)
-
-
-def euler(a: ExtendedAngle) -> "HyperbolicNumber":
-    """The unit number k * exp(h * theta) = cosh_e + h sinh_e."""
-    from .hypnum import HyperbolicNumber
-
-    c, s = cosh_sinh(a)
-    return HyperbolicNumber(c, s)
 
 
 def circle_map(phi: float) -> tuple[float, float]:

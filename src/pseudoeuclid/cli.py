@@ -13,7 +13,7 @@ from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, PseudoEuclidError
 from .geometry import PointP, segment_kind, square_distance
 from .hyperbola import circumscribed
-from .hypnum import classify_sector, to_polar
+from .hypnum import classify_sector, euler, to_polar
 from .selftest import run_selftest
 from .tol import null_eps, set_null_eps
 from .triangle import Triangle, solve_asa, solve_sas, solve_ssa, solve_sss
@@ -188,7 +188,7 @@ def _cmd_sample(args) -> int:
         for k in (KleinIndex.P1, KleinIndex.H, KleinIndex.M1, KleinIndex.MH):
             for i in range(n):
                 theta = lo + i * step
-                u = _angle.euler(ExtendedAngle(theta, k))
+                u = euler(ExtendedAngle(theta, k))
                 rows.append({"k": k.label, "theta": theta, "x": u.x, "y": u.y})
         _emit({"rows": rows}, "rows", ["k", "theta", "x", "y"], args)
     else:
@@ -235,8 +235,18 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with '-' and a digit, or '-.' and a digit,
+    as a value, so that a point such as -1,0 needs no '='.  Subparsers are
+    made from the same class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudoeuclid",
         description="Split-complex numbers and trigonometry in the pseudo-Euclidean plane.")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

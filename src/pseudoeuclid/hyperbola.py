@@ -17,7 +17,7 @@ from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection
 from .geometry import PELine, PointP, _normalized_dot, displacement, line_intersection, midpoint, segment_axis
-from .hypnum import HyperbolicNumber, angle_between
+from .hypnum import HyperbolicNumber, angle_between, euler
 from .tol import quadratic_form
 
 CONTAINS_TOL = 1e-9
@@ -83,7 +83,7 @@ class EquilateralHyperbola:
     def point_at(self, a: ExtendedAngle) -> PointP:
         if a.k not in self.arms:
             raise InvalidInput(f"arm {a.k.label} does not occur on this hyperbola")
-        return self.center + self.p * _angle.euler(a)
+        return self.center + self.p * euler(a)
 
     def sample_arm(self, k: KleinIndex, lo: float, hi: float, n: int) -> list[PointP]:
         """n points with evenly spaced parameters on arm k, endpoints included."""

@@ -102,6 +102,12 @@ class HyperbolicNumber:
             raise InvalidInput(f"the inverse of ({self.x}, {self.y}) does not fit a double") from exc
 
 
+def euler(a: ExtendedAngle) -> HyperbolicNumber:
+    """The unit number k * exp(h * theta) = cosh_e + h sinh_e."""
+    c, s = _angle.cosh_sinh(a)
+    return HyperbolicNumber(c, s)
+
+
 def classify_sector(z: HyperbolicNumber) -> Sector:
     """Sector tag of z under the scale-invariant null test."""
     if z.x == 0.0 and z.y == 0.0:
@@ -133,7 +139,7 @@ def rotate(z: HyperbolicNumber, a: ExtendedAngle) -> HyperbolicNumber:
     module and the orientation.  For k = +-h it additionally swaps the two
     sector kinds (the square module changes sign).
     """
-    return z * _angle.euler(a)
+    return z * euler(a)
 
 
 def angle_between(v1: HyperbolicNumber, v2: HyperbolicNumber) -> ExtendedAngle:

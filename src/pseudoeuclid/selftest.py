@@ -16,7 +16,7 @@ from .angle import ExtendedAngle, KleinIndex
 from .errors import PseudoEuclidError
 from .geometry import Motion, PointP
 from .hyperbola import circumscribed
-from .hypnum import HyperbolicNumber, from_polar, to_polar
+from .hypnum import HyperbolicNumber, euler, from_polar, to_polar
 from .tol import quadratic_form
 from .triangle import Triangle
 
@@ -45,12 +45,11 @@ THRESHOLDS = {
 }
 
 
-def random_angle(rng: random.Random, span: float = ANGLE_RANGE,
-                 ks: tuple[KleinIndex, ...] = _ALL_KS) -> ExtendedAngle:
-    return ExtendedAngle(rng.uniform(-span, span), rng.choice(ks))
+def random_angle(rng: random.Random) -> ExtendedAngle:
+    return ExtendedAngle(rng.uniform(-ANGLE_RANGE, ANGLE_RANGE), rng.choice(_ALL_KS))
 
 
-def random_triangle(rng: random.Random, margin: float = TRIANGLE_MARGIN) -> Triangle:
+def random_triangle(rng: random.Random) -> Triangle:
     """Vertices in a +-5 box, rejecting badly conditioned triples: every side
     must stay clear of the null lines and the area clear of zero, both
     relative to the Euclidean size of the sides."""
@@ -59,11 +58,12 @@ def random_triangle(rng: random.Random, margin: float = TRIANGLE_MARGIN) -> Tria
         vecs = [(pts[1].x - pts[0].x, pts[1].y - pts[0].y),
                 (pts[2].x - pts[1].x, pts[2].y - pts[1].y),
                 (pts[2].x - pts[0].x, pts[2].y - pts[0].y)]
-        if any(abs(quadratic_form(dx, dy)) < margin * (dx * dx + dy * dy) for dx, dy in vecs):
+        if any(abs(quadratic_form(dx, dy)) < TRIANGLE_MARGIN * (dx * dx + dy * dy)
+               for dx, dy in vecs):
             continue
         two_s = Triangle._two_s(*pts)
         e1, e3 = vecs[0], vecs[2]
-        if abs(two_s) < margin * math.hypot(*e1) * math.hypot(*e3):
+        if abs(two_s) < TRIANGLE_MARGIN * math.hypot(*e1) * math.hypot(*e3):
             continue
         try:
             return Triangle(*pts)
@@ -112,7 +112,7 @@ def _check_addition(rng: random.Random, n: int) -> Iterator[float]:
 def _check_angle_roundtrip(rng: random.Random, n: int) -> Iterator[float]:
     for _ in range(n):
         a = random_angle(rng)
-        u = _angle.euler(a)
+        u = euler(a)
         back = _angle.from_point(u.x, u.y)
         if back.k is not a.k:
             yield math.inf

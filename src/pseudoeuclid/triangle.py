@@ -28,7 +28,7 @@ from .errors import (
 )
 from .geometry import Motion, PointP, _meet, displacement
 # angle_between is re-exported: the public angle is reachable from this module too
-from .hypnum import HyperbolicNumber, _angle_of, angle_between  # noqa: F401
+from .hypnum import HyperbolicNumber, _angle_of, angle_between, euler  # noqa: F401
 from .tol import is_null_xy, quadratic_form
 
 DEGENERACY_TOL = 1e-12
@@ -90,13 +90,13 @@ class Triangle:
         The angle at a vertex is measured from the ray toward the next
         counterclockwise vertex to the ray toward the previous one; with the
         opposite-side labelling this yields sinh_e(theta_i) = 2S/(d_j d_k).
-        Everything is computed from the vertex coordinates; a side that the
-        current null tolerance calls null raises NullDirection.
+        Everything is computed from the vertex coordinates alone: the
+        constructor has already refused null sides, so nothing here reads the
+        null tolerance.
 
         The record is computed on the first call and the same immutable object
-        is returned on every later one, so it reflects the null tolerance in
-        force at that first call.  It is kept outside the dataclass fields:
-        equality, hashing and repr see only the vertices.
+        is returned on every later one.  It is kept outside the dataclass
+        fields: equality, hashing and repr see only the vertices.
         """
         el = self.__dict__.get("_elements")
         if el is None:
@@ -105,10 +105,6 @@ class Triangle:
             x12, y12, x13, y13 = p2.x - p1.x, p2.y - p1.y, p3.x - p1.x, p3.y - p1.y
             x23, y23, x21, y21 = p3.x - p2.x, p3.y - p2.y, p1.x - p2.x, p1.y - p2.y
             x31, y31, x32, y32 = p1.x - p3.x, p1.y - p3.y, p2.x - p3.x, p2.y - p3.y
-            # a ray and its reverse are null together; the null tolerance may
-            # have been raised since construction
-            if is_null_xy(x12, y12) or is_null_xy(x23, y23) or is_null_xy(x13, y13):
-                raise NullDirection("angle between null vectors is undefined")
             D1, D2, D3 = quadratic_form(x23, y23), quadratic_form(x13, y13), quadratic_form(x12, y12)
             el = TriangleElements(
                 (D1, D2, D3),
@@ -169,7 +165,7 @@ class Triangle:
 
     def transformed(self, motion: Motion) -> "Triangle":
         # the products Motion.apply forms, with the unit computed once
-        u, offset = _angle.euler(motion.rotation), motion.offset
+        u, offset = euler(motion.rotation), motion.offset
         return Triangle(self.p1 * u + offset, self.p2 * u + offset, self.p3 * u + offset)
 
     def canonicalize(self) -> tuple[Motion, "Triangle"]:
@@ -184,7 +180,7 @@ class Triangle:
         a = _angle.from_point(u.x, u.y)
         target = KleinIndex.P1 if a.k.kappa > 0 else KleinIndex.MH
         rot = ExtendedAngle(-a.theta, target * a.k)
-        spin = _angle.euler(rot)
+        spin = euler(rot)
         shift = -(self.p1 * spin)
         motion = Motion(rot, shift)
         return motion, self.transformed(motion)
@@ -210,9 +206,12 @@ def _place(theta1: ExtendedAngle, d2: float, D3: float) -> tuple[PointP, PointP,
     # of side 3, p3 reached from p1 at angle theta1
     c1, s1 = _angle.cosh_sinh(theta1)
     d3 = math.sqrt(abs(D3))
+    x, y = d2 * c1, d2 * s1
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInput(f"the third vertex, {d2!r} * ({c1!r}, {s1!r}), does not fit a double")
     if D3 > 0:
-        return PointP(0.0, 0.0), PointP(d3, 0.0), PointP(d2 * c1, d2 * s1)
-    return PointP(0.0, 0.0), PointP(0.0, -d3), PointP(d2 * s1, d2 * c1)
+        return PointP(0.0, 0.0), PointP(d3, 0.0), PointP(x, y)
+    return PointP(0.0, 0.0), PointP(0.0, -d3), PointP(y, x)
 
 
 def _angles_close(got: ExtendedAngle, want: ExtendedAngle) -> bool:
@@ -279,7 +278,7 @@ def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triang
     # opens back toward p1 (which way a ray points does not move the meet)
     p1, p2, q = _place(theta1, 1.0, D3)
     base = HyperbolicNumber(1.0, 0.0) if D3 > 0 else HyperbolicNumber(0.0, -1.0)
-    p3 = _meet(p1, displacement(p1, q), p2, base * _angle.euler(theta2).conjugate())
+    p3 = _meet(p1, displacement(p1, q), p2, base * euler(theta2).conjugate())
     try:
         tri = Triangle(p1, p2, p3)
     except (NullSide, DegenerateTriangle) as exc:
@@ -328,6 +327,10 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
     s1_sq = c1 * c1 - kappa
     if s1_sq <= 0.0:
         raise Inconsistent("square sides violate the realizability condition")
+    # where c1 or c1 * c1 overflowed, the direction (c1, s1) cannot be placed:
+    # it is null at the default tolerance, or not a number
+    if not math.isfinite(s1_sq):
+        raise Inconsistent("square sides only close into a degenerate figure")
     s1 = math.sqrt(s1_sq)
     try:
         theta1 = _angle.from_point(c1, s1)

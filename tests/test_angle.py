@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoeuclid import euler
 from pseudoeuclid.angle import (
     THETA_MAX,
     ExtendedAngle,
@@ -14,7 +15,6 @@ from pseudoeuclid.angle import (
     circle_map,
     cosh_e,
     cosh_sinh,
-    euler,
     from_point,
     sinh_e,
     sub_angles,

@@ -11,6 +11,7 @@ import types
 import pseudoeuclid
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = pathlib.Path(pseudoeuclid.__file__).parent
 
 
 def test_all_names_resolve_once():
@@ -36,7 +37,7 @@ def test_readme_tour_imports_from_the_root():
 def test_every_constant_is_read():
     # a module-level ALL_CAPS name that nothing loads is dead configuration
     constants, read = set(), set()
-    for path in pathlib.Path(pseudoeuclid.__file__).parent.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, ast.Assign):
@@ -61,3 +62,16 @@ def test_no_two_dataclasses_share_their_fields():
         by_fields.setdefault(tuple(f.name for f in dataclasses.fields(cls)), []).append(cls.__name__)
     assert len(by_fields) >= 8
     assert all(len(names) == 1 for names in by_fields.values()), by_fields
+
+
+def test_no_import_inside_a_function():
+    # an import in a function body runs on every call and hides a cycle
+    # between modules; every import is at module level
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{inner.lineno}" for stmt in node.body
+                          for inner in ast.walk(stmt)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    assert not found, sorted(found)

@@ -253,6 +253,36 @@ def test_classify_segment_whose_difference_overflows(capsys):
     assert data["D"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--point", "-1,0"],
+    ["circumhyperbola", "--vertices", "-1,0", "5,0", "5,3"],
+    ["solve", "ssa", "--theta1", "-.5,+1", "--D1", "-9", "--D3", "-25"],
+    ["solve", "sas", "--theta1", "0.5,+1", "--D2", "-1e1", "--D3", "-25"],
+    ["sample", "unit-hyperbolas", "--theta", "-2:2:5"],
+], ids=["point", "vertices", "theta-dot", "exponent", "range"])
+def test_negative_numbers_are_values(capsys, argv):
+    # each argument starting with '-' and a digit is a value, not an unknown flag
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)
+    assert err == ""
+
+
+def test_sss_whose_cosine_overflows_is_a_domain_outcome(capsys):
+    code, out, err = run_cli(capsys, "solve", "sss", "--D=1e308,1e308,1e308")
+    assert code == 0
+    assert json.loads(out)["error"] == "inconsistent"
+    assert err == ""
+
+
+def test_ssa_whose_placement_overflows_exits_2(capsys):
+    code, out, err = run_cli(capsys, "solve", "ssa", "--theta1=1,+1",
+                             "--D1", "1e308", "--D3", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "does not fit a double" in err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),
@@ -301,11 +331,14 @@ README_EXAMPLES = [
      "-1.3862943611198906,+h,0.69314718055994529,+h,15.9375\n"),
     (["circumhyperbola", "--vertices", "0,0", "5,0", "5,3"],
      '{\n  "P": 4.0,\n  "cx": 2.5,\n  "cy": 1.5,\n  "kind": "second",\n  "p": 2.0\n}\n'),
+    (["classify", "--segment", "-1,0", "2,1"],
+     '{\n  "D": 8.0,\n  "d": 2.8284271247461903,\n  "segment_kind": "first",\n'
+     '  "x1": -1.0,\n  "x2": 2.0,\n  "y1": 0.0,\n  "y2": 1.0\n}\n'),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", README_EXAMPLES,
-                         ids=["classify", "solve-ssa-csv", "circumhyperbola"])
+                         ids=["classify", "solve-ssa-csv", "circumhyperbola", "classify-negative"])
 def test_readme_examples_byte_for_byte(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

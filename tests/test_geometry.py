@@ -84,6 +84,18 @@ def test_line_rejects_null_direction():
         line_through(P(1, 1), P(3, 3))
 
 
+@pytest.mark.parametrize("make, direction", [
+    (lambda: line_through(P(1, 1), P(3, 3)), "(2.0, 2.0)"),
+    (lambda: segment_axis(P(0, 0), P(2, -2)), "(-2.0, 2.0)"),
+    (lambda: PELine.from_slope_intercept(-1.0, 3.0), "(1.0, -1.0)"),
+], ids=["line_through", "segment_axis", "from_slope_intercept"])
+def test_line_constructors_name_the_null_direction(make, direction):
+    # the one null test, in PELine, names the direction it refuses
+    with pytest.raises(NullDirection) as err:
+        make()
+    assert str(err.value) == f"{direction} is a null direction; a line needs a non-null one"
+
+
 def test_second_kind_line_theta_measured_from_y_axis():
     line = PELine(P(0, 0), H(3.0, 5.0))
     assert line.kind is SegmentKind.SECOND

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh
-from pseudoeuclid.errors import Inconsistent, InvalidInput, NullSide, ParallelRays
+from pseudoeuclid.errors import (
+    Inconsistent,
+    InvalidInput,
+    NullSide,
+    ParallelRays,
+    PseudoEuclidError,
+)
 from pseudoeuclid.geometry import PointP
 from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.triangle import (
@@ -283,3 +289,42 @@ def test_sss_at_tiny_scale():
 def test_sss_rejects_null_side():
     with pytest.raises(NullSide):
         solve_sss(0.0, 16.0, 25.0)
+
+
+def test_sss_whose_cosine_overflows_is_inconsistent():
+    # (D2 + D3 - D1) / (2 d2 d3) is inf / inf here
+    with pytest.raises(Inconsistent, match="degenerate figure"):
+        solve_sss(1e308, 1e308, 1e308)
+
+
+def test_ssa_whose_placement_overflows_is_invalid_input():
+    with pytest.raises(InvalidInput, match="does not fit a double"):
+        solve_ssa(ExtendedAngle(1.0, P1), 1e308, 1e308)
+
+
+def _magnitude(rng: random.Random) -> float:
+    return rng.choice((-1.0, 1.0)) * min(10.0 ** rng.uniform(-323.0, 308.25), 1.7e308)
+
+
+def _any_angle(rng: random.Random) -> ExtendedAngle:
+    span = 349.0 if rng.random() < 0.5 else 5.0
+    return ExtendedAngle(rng.uniform(-span, span), rng.choice(list(KleinIndex)))
+
+
+def test_solvers_raise_only_domain_errors_on_finite_input():
+    # every finite datum, from subnormal to near the largest double, either
+    # solves or is refused with a PseudoEuclidError
+    rng = random.Random(8)
+    for i in range(4000):
+        kind = i % 4
+        try:
+            if kind == 0:
+                solve_ssa(_any_angle(rng), _magnitude(rng), _magnitude(rng))
+            elif kind == 1:
+                solve_asa(_any_angle(rng), _any_angle(rng), _magnitude(rng))
+            elif kind == 2:
+                solve_sas(_any_angle(rng), _magnitude(rng), _magnitude(rng))
+            else:
+                solve_sss(_magnitude(rng), _magnitude(rng), _magnitude(rng))
+        except PseudoEuclidError:
+            pass
