@@ -1,135 +1,15 @@
 """Split-complex number algebra and trigonometry of the pseudo-Euclidean plane."""
-from .angle import (
-    THETA_MAX,
-    ExtendedAngle,
-    KleinIndex,
-    add_angles,
-    circle_map,
-    cosh_e,
-    cosh_sinh,
-    from_point,
-    sinh_e,
-    sub_angles,
-)
-from .errors import (
-    DegenerateTriangle,
-    Inconsistent,
-    InvalidInput,
-    NonPositiveRho,
-    NotOnHyperbola,
-    NullDirection,
-    NullDivisor,
-    NullSide,
-    OverflowingAngle,
-    ParallelRays,
-    PseudoEuclidError,
-    ZeroVector,
-)
-from .euclid import EuclideanAngleValues, euclid_angle, euclid_signed_area
-from .geometry import (
-    Motion,
-    PELine,
-    PointP,
-    SegmentKind,
-    displacement,
-    line_intersection,
-    line_through,
-    midpoint,
-    orthogonal_line_at,
-    point_line_distance,
-    pseudo_orthogonal,
-    segment_axis,
-    segment_kind,
-    square_distance,
-)
-from .hyperbola import Chord, ChordClass, EquilateralHyperbola, circumscribed
-from .hypnum import (
-    HyperbolicNumber,
-    Sector,
-    angle_between,
-    classify_sector,
-    euler,
-    from_polar,
-    rotate,
-    to_polar,
-)
-from .selftest import run_selftest
-from .tol import is_null_xy, null_eps, quadratic_form, set_null_eps
-from .triangle import (
-    Triangle,
-    TriangleElements,
-    realizability,
-    solve_asa,
-    solve_sas,
-    solve_ssa,
-    solve_sss,
-)
+from .angle import *
+from .errors import *
+from .euclid import *
+from .geometry import *
+from .hyperbola import *
+from .hypnum import *
+from .selftest import *
+from .tol import *
+from .triangle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "THETA_MAX",
-    "ExtendedAngle",
-    "KleinIndex",
-    "add_angles",
-    "circle_map",
-    "cosh_e",
-    "cosh_sinh",
-    "euler",
-    "from_point",
-    "sinh_e",
-    "sub_angles",
-    "DegenerateTriangle",
-    "Inconsistent",
-    "InvalidInput",
-    "NonPositiveRho",
-    "NotOnHyperbola",
-    "NullDirection",
-    "NullDivisor",
-    "NullSide",
-    "OverflowingAngle",
-    "ParallelRays",
-    "PseudoEuclidError",
-    "ZeroVector",
-    "EuclideanAngleValues",
-    "euclid_angle",
-    "euclid_signed_area",
-    "Motion",
-    "PELine",
-    "PointP",
-    "SegmentKind",
-    "displacement",
-    "line_intersection",
-    "line_through",
-    "midpoint",
-    "orthogonal_line_at",
-    "point_line_distance",
-    "pseudo_orthogonal",
-    "segment_axis",
-    "segment_kind",
-    "square_distance",
-    "Chord",
-    "ChordClass",
-    "EquilateralHyperbola",
-    "circumscribed",
-    "HyperbolicNumber",
-    "Sector",
-    "angle_between",
-    "classify_sector",
-    "from_polar",
-    "rotate",
-    "to_polar",
-    "run_selftest",
-    "is_null_xy",
-    "null_eps",
-    "quadratic_form",
-    "set_null_eps",
-    "Triangle",
-    "TriangleElements",
-    "realizability",
-    "solve_asa",
-    "solve_sas",
-    "solve_ssa",
-    "solve_sss",
-    "__version__",
-]
+__all__ = (angle.__all__ + errors.__all__ + euclid.__all__ + geometry.__all__ + hyperbola.__all__
+           + hypnum.__all__ + selftest.__all__ + tol.__all__ + triangle.__all__ + ["__version__"])

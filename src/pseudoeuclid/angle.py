@@ -20,6 +20,11 @@ from enum import Enum
 from .errors import NullDirection, OverflowingAngle
 from .tol import is_null_xy, null_eps, rescaled
 
+__all__ = [
+    "THETA_MAX", "ExtendedAngle", "KleinIndex", "add_angles", "circle_map", "cosh_e", "cosh_sinh",
+    "from_point", "sinh_e", "sub_angles",
+]
+
 # cosh(350)^2 ~ 2.5e303 still fits in a double, so products of two extended
 # values stay finite; anything larger is refused instead of returning inf.
 THETA_MAX = 350.0

@@ -173,7 +173,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_circumhyperbola(args) -> int:
     p1, p2, p3 = (_parse_point(t) for t in args.vertices)
-    hyp = circumscribed(Triangle(p1, p2, p3))
+    try:
+        tri = Triangle(p1, p2, p3)
+    except ValueError as exc:
+        # a vertex difference that does not fit a double, as in _parse_point
+        raise InvalidInput(str(exc)) from exc
+    hyp = circumscribed(tri)
     out = {"cx": hyp.center.x, "cy": hyp.center.y,
            "P": hyp.P, "p": hyp.p, "kind": hyp.kind}
     _emit(out, None, None, args)
@@ -185,7 +190,7 @@ def _cmd_sample(args) -> int:
         lo, hi, n = _parse_range(args.theta)
         step = (hi - lo) / (n - 1)
         rows = []
-        for k in (KleinIndex.P1, KleinIndex.H, KleinIndex.M1, KleinIndex.MH):
+        for k in KleinIndex:
             for i in range(n):
                 theta = lo + i * step
                 u = euler(ExtendedAngle(theta, k))

@@ -1,5 +1,11 @@
 """Exception types for operations that leave the domain of the algebra."""
 
+__all__ = [
+    "DegenerateTriangle", "Inconsistent", "InvalidInput", "NonPositiveRho", "NotOnHyperbola",
+    "NullDirection", "NullDivisor", "NullSide", "OverflowingAngle", "ParallelRays",
+    "PseudoEuclidError", "ZeroVector",
+]
+
 
 class PseudoEuclidError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -9,6 +9,8 @@ from .errors import ZeroVector
 from .geometry import PointP
 from .hypnum import HyperbolicNumber
 
+__all__ = ["EuclideanAngleValues", "euclid_angle", "euclid_signed_area"]
+
 
 @dataclass(frozen=True)
 class EuclideanAngleValues:

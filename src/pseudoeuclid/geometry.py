@@ -17,6 +17,12 @@ from .errors import InvalidInput, NullDirection, ParallelRays
 from .hypnum import HyperbolicNumber, euler
 from .tol import is_null_xy, quadratic_form
 
+__all__ = [
+    "Motion", "PELine", "PointP", "SegmentKind", "displacement", "line_intersection",
+    "line_through", "midpoint", "orthogonal_line_at", "point_line_distance", "pseudo_orthogonal",
+    "segment_axis", "segment_kind", "square_distance",
+]
+
 # residual thresholds for incidence/orthogonality predicates, scaled by the
 # Euclidean size of whatever enters the expression
 INCIDENCE_TOL = 1e-9
@@ -170,7 +176,10 @@ def _meet(a: PointP, e1: HyperbolicNumber, b: PointP, e2: HyperbolicNumber) -> P
     if abs(den) <= PARALLEL_TOL * n:
         raise ParallelRays("lines are parallel")
     t = _cross(displacement(a, b), e2) / den
-    return PointP(a.x + t * e1.x, a.y + t * e1.y)
+    x, y = a.x + t * e1.x, a.y + t * e1.y
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInput(f"the meet point ({x!r}, {y!r}) does not fit a double")
+    return PointP(x, y)
 
 
 def line_intersection(l1: PELine, l2: PELine) -> PointP:

@@ -20,6 +20,8 @@ from .geometry import PELine, PointP, _normalized_dot, displacement, line_inters
 from .hypnum import HyperbolicNumber, angle_between, euler
 from .tol import quadratic_form
 
+__all__ = ["Chord", "ChordClass", "EquilateralHyperbola", "circumscribed"]
+
 CONTAINS_TOL = 1e-9
 
 _FIRST_ARMS = (KleinIndex.H, KleinIndex.MH)
@@ -153,8 +155,6 @@ class EquilateralHyperbola:
 
     def central_angle(self, a: PointP, b: PointP) -> ExtendedAngle:
         """Angle between the radii to a and b (from a toward b)."""
-        if a == b:
-            return ExtendedAngle(0.0, KleinIndex.P1)
         va = self._require(a, "a")
         vb = self._require(b, "b")
         return angle_between(va, vb)
@@ -167,8 +167,6 @@ class EquilateralHyperbola:
         central angle over the same chord doubles its theta with the same
         index k.
         """
-        if a == b:
-            return ExtendedAngle(0.0, KleinIndex.P1)
         pa, pb = self.param_of(a), self.param_of(b)
         pv = self.param_of(vertex)
         if not (pa.k is pb.k is pv.k):
@@ -198,5 +196,5 @@ def circumscribed(tri) -> EquilateralHyperbola:
     axis12 = segment_axis(tri.p1, tri.p2)
     axis13 = segment_axis(tri.p1, tri.p3)
     center = line_intersection(axis12, axis13)
-    d = displacement(center, tri.p1)
-    return EquilateralHyperbola(center, d.square_module())
+    # a P that does not fit a double is refused by the constructor as InvalidInput
+    return EquilateralHyperbola(center, quadratic_form(tri.p1.x - center.x, tri.p1.y - center.y))

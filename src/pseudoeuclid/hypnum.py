@@ -17,6 +17,11 @@ from .angle import ExtendedAngle
 from .errors import InvalidInput, NonPositiveRho, NullDirection, NullDivisor
 from .tol import is_null_xy, quadratic_form, rescaled
 
+__all__ = [
+    "HyperbolicNumber", "Sector", "angle_between", "classify_sector", "euler", "from_polar",
+    "rotate", "to_polar",
+]
+
 
 class Sector(Enum):
     """Where a number sits relative to the null lines."""

@@ -1,13 +1,18 @@
 """Tolerance policy and the one canonical quadratic form x^2 - y^2.
 
-Every null test in the package goes through ``is_null_xy`` so the policy is
-scale invariant: a vector counts as null when |x^2 - y^2| <= eps * (x^2 + y^2).
+Every null test in the package but one goes through ``is_null_xy`` so the
+policy is scale invariant: a vector counts as null when
+|x^2 - y^2| <= eps * (x^2 + y^2).  The exception, ``angle.circle_map``, tests
+|cos 2 phi| <= eps directly, which is the same criterion applied to the unit
+vector (cos phi, sin phi).
 The threshold is process-global and can be changed (the CLI reads it from the
 PSEUDOEUCLID_EPS environment variable).
 """
 from __future__ import annotations
 
 import math
+
+__all__ = ["is_null_xy", "null_eps", "quadratic_form", "set_null_eps"]
 
 DEFAULT_NULL_EPS = 1e-12
 

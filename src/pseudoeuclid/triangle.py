@@ -26,12 +26,16 @@ from .errors import (
     NullDirection,
     NullSide,
 )
-from .geometry import Motion, PointP, _meet, displacement
+from .geometry import PARALLEL_TOL, Motion, PointP, _meet, displacement
 # angle_between is re-exported: the public angle is reachable from this module too
 from .hypnum import HyperbolicNumber, _angle_of, angle_between, euler  # noqa: F401
 from .tol import is_null_xy, quadratic_form
 
-DEGENERACY_TOL = 1e-12
+__all__ = [
+    "Triangle", "TriangleElements", "realizability", "solve_asa", "solve_sas", "solve_ssa",
+    "solve_sss",
+]
+
 RIGHT_ANGLE_TOL = 1e-9
 # solver round-trip tolerances: candidate solutions must reproduce the data
 SOLVE_ANGLE_TOL = 1e-8
@@ -66,7 +70,8 @@ class Triangle:
         (x1, y1), _, (x2, y2) = sides
         two_s = self._two_s(p1, p2, p3)
         scale = math.hypot(x1, y1) * math.hypot(x2, y2)
-        if abs(two_s) <= DEGENERACY_TOL * scale:
+        # degenerate exactly when sides p1p2 and p1p3 are parallel
+        if abs(two_s) <= PARALLEL_TOL * scale:
             raise DegenerateTriangle("vertices are collinear")
         if two_s < 0.0:
             object.__setattr__(self, "p2", p3)

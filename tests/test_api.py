@@ -1,9 +1,11 @@
-"""The package root re-exports exactly what ``__all__`` lists, defines nothing unread,
-and has one type per shape of record."""
+"""The package root re-exports exactly what ``__all__`` lists, each public name is
+declared once, in the ``__all__`` of the module that defines it, nothing is defined
+unread, and there is one type per shape of record."""
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 import re
 import types
@@ -24,6 +26,36 @@ def test_every_public_attribute_is_listed():
     public = {name for name, value in vars(pseudoeuclid).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public <= set(pseudoeuclid.__all__), public - set(pseudoeuclid.__all__)
+
+
+def test_each_public_name_is_declared_once():
+    # the root star-imports each module and concatenates their lists; a name
+    # is listed by the module that binds it, never by one that imports it
+    root = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [node for node in root.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1
+               and [alias.name for alias in node.names] == ["*"] for node in imports)
+    modules = [node.module for node in imports]
+    assert modules
+    literals = {node.value for node in ast.walk(root)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier()}
+    assert literals == {"__version__"}
+    combined = []
+    for name in modules:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Assign):
+                bound |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+        listed = getattr(importlib.import_module(f"pseudoeuclid.{name}"), "__all__", None)
+        assert listed, name
+        assert set(listed) <= bound, (name, sorted(set(listed) - bound))
+        combined += listed
+    assert len(combined) == len(set(combined))
+    assert pseudoeuclid.__all__ == combined + ["__version__"]
 
 
 def test_readme_tour_imports_from_the_root():

@@ -283,6 +283,21 @@ def test_ssa_whose_placement_overflows_exits_2(capsys):
     assert err.startswith("error: ") and "does not fit a double" in err
 
 
+@pytest.mark.parametrize("vertices", [
+    ["-5.360835399839681e+35,-1.0131183604201029e+179", "-5.8347119690749e-27,-7.03376803908808e-39",
+     "-3.5123059675883307e+291,-3.3647224436227035e+302"],
+    ["6.584224461634875e+252,1e308", "6.811398323420066e-228,-1e308",
+     "-1.7130651805844262e+58,-1.3886246495519282e+221"],
+    ["1.7e+308,-1e+308", "-4.975375852650895e+302,-1456046219969714.5",
+     "-348808.3656137566,1.7529733996758565e-110"],
+], ids=["meet-point", "vertex-difference", "square-radius"])
+def test_circumhyperbola_that_does_not_fit_a_double_exits_2(capsys, vertices):
+    code, out, err = run_cli(capsys, "circumhyperbola", "--vertices", *vertices)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),

@@ -164,6 +164,9 @@ def test_line_intersection():
     assert meet.y == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(ParallelRays):
         line_intersection(l1, PELine(P(0, 1), H(5.0, 3.0)))
+    # nearly parallel lines far apart meet beyond the largest double
+    with pytest.raises(InvalidInput, match="does not fit a double"):
+        line_intersection(PELine(P(0, 0), H(1.0, 0.1)), PELine(P(0, 1e305), H(1.0, 0.10001)))
 
 
 def test_point_line_distance_first_kind_foot():

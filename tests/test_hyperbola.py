@@ -205,13 +205,30 @@ def test_inscribed_angle_edge_cases(second_kind):
     b = second_kind.point_at(ExtendedAngle(-1.0, P1))
     outside = second_kind.point_at(ExtendedAngle(2.0, P1))
     other_arm = second_kind.point_at(ExtendedAngle(0.0, KleinIndex.M1))
-    assert second_kind.inscribed_angle(a, b, b) == ExtendedAngle(0.0, P1)
+    with pytest.raises(InvalidInput):
+        second_kind.inscribed_angle(a, b, b)
     with pytest.raises(InvalidInput):
         second_kind.inscribed_angle(outside, a, b)
     with pytest.raises(InvalidInput):
         second_kind.inscribed_angle(other_arm, a, b)
     with pytest.raises(NullDirection):
         second_kind.inscribed_angle(a, a, b)
+
+
+def test_zero_chord_angles_validate_their_points(second_kind):
+    off = P(100.0, 7.0)
+    with pytest.raises(NotOnHyperbola):
+        second_kind.central_angle(off, off)
+    with pytest.raises(NotOnHyperbola):
+        second_kind.inscribed_angle(off, off, off)
+
+
+def test_zero_chord_central_angle_carries_the_chord_index(second_kind, first_kind):
+    # nearby chords on a first-kind hyperbola all have index -1
+    for hyp, k in ((second_kind, P1), (first_kind, KleinIndex.M1)):
+        a = hyp.point_at(ExtendedAngle(0.3, hyp.arms[0]))
+        assert hyp.central_angle(a, a).k is k
+        assert hyp.central_angle(a, a).theta == 0.0
 
 
 def test_inscribed_and_central_worked(second_kind):
