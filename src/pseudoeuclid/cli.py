@@ -13,7 +13,7 @@ from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, PseudoEuclidError
 from .geometry import PointP, segment_kind, square_distance
 from .hyperbola import circumscribed
-from .hypnum import classify_sector, euler, to_polar
+from .hypnum import classify_sector, euler
 from .selftest import run_selftest
 from .tol import null_eps, set_null_eps
 from .triangle import Triangle, solve_asa, solve_sas, solve_ssa, solve_sss
@@ -137,7 +137,7 @@ def _cmd_classify(args) -> int:
                "D": z.square_module(), "rho": z.module(),
                "theta": None, "k": None}
         if not z.is_null():
-            _, a = to_polar(z)
+            a = _angle.from_point(z.x, z.y)
             out["theta"], out["k"] = a.theta, a.k.label
         _emit(out, None, None, args)
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
@@ -18,7 +18,7 @@ from .geometry import Motion, PointP
 from .hyperbola import circumscribed
 from .hypnum import HyperbolicNumber, euler, from_polar, to_polar
 from .tol import quadratic_form
-from .triangle import Triangle
+from .triangle import Triangle, _worst
 
 __all__ = ["run_selftest"]
 
@@ -77,19 +77,6 @@ def random_motion(rng: random.Random) -> Motion:
     rot = ExtendedAngle(rng.uniform(-MOTION_ANGLE_RANGE, MOTION_ANGLE_RANGE),
                         rng.choice(_PROPER_KS))
     return Motion(rot, HyperbolicNumber(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)))
-
-
-def _worst(residuals: Iterable[float]) -> float:
-    """The largest residual, or NaN if any is NaN.
-
-    max() would keep a NaN only when it came first, so a NaN residual must
-    stick here for its check to fail.
-    """
-    worst = 0.0
-    for r in residuals:
-        if r > worst or r != r:
-            worst = r
-    return worst
 
 
 def _check_quadratic(rng: random.Random, n: int) -> Iterator[float]:

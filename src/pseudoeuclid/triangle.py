@@ -15,6 +15,7 @@ positive, and the familiar relations hold with ordinary signs:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import angle as _angle
@@ -23,10 +24,9 @@ from .errors import (
     DegenerateTriangle,
     Inconsistent,
     InvalidInput,
-    NullDirection,
     NullSide,
 )
-from .geometry import PARALLEL_TOL, Motion, PointP, _meet, displacement
+from .geometry import PARALLEL_TOL, Motion, PointP, _meet
 # angle_between is re-exported: the public angle is reachable from this module too
 from .hypnum import HyperbolicNumber, _angle_of, angle_between, euler  # noqa: F401
 from .tol import is_null_xy, quadratic_form
@@ -40,6 +40,19 @@ RIGHT_ANGLE_TOL = 1e-9
 # solver round-trip tolerances: candidate solutions must reproduce the data
 SOLVE_ANGLE_TOL = 1e-8
 SOLVE_SIDE_TOL = 1e-8
+
+
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN if any is NaN.
+
+    max() would keep a NaN only when it came first, so a NaN residual must
+    stick here for its check to fail.
+    """
+    worst = 0.0
+    for r in residuals:
+        if r > worst or r != r:
+            worst = r
+    return worst
 
 
 @dataclass(frozen=True)
@@ -125,14 +138,7 @@ class Triangle:
         """Largest relative deviation of sinh_e(theta_i)/d_i from 2S/(d1 d2 d3)."""
         el = self.elements()
         ref = 2.0 * el.S / (el.d[0] * el.d[1] * el.d[2])
-        worst = 0.0
-        for i in range(3):
-            ratio = _angle.sinh_e(el.angles[i]) / el.d[i]
-            r = abs(ratio - ref) / abs(ref)
-            # unlike max(), this keeps a NaN wherever it comes
-            if r > worst or r != r:
-                worst = r
-        return worst
+        return _worst(abs(_angle.sinh_e(a) / d - ref) / abs(ref) for a, d in zip(el.angles, el.d))
 
     def law_of_cosines_check(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """Normalized residuals of the cosine and projection laws, per index.
@@ -181,8 +187,7 @@ class Triangle:
         swapped in the second case).  The rotation index is always +-1, so the
         image is counterclockwise with the same square sides and angles.
         """
-        u = displacement(self.p1, self.p2)
-        a = _angle.from_point(u.x, u.y)
+        a = _angle.from_point(self.p2.x - self.p1.x, self.p2.y - self.p1.y)
         target = KleinIndex.P1 if a.k.kappa > 0 else KleinIndex.MH
         rot = ExtendedAngle(-a.theta, target * a.k)
         spin = euler(rot)
@@ -206,10 +211,10 @@ def _as_angle(name: str, value: ExtendedAngle) -> ExtendedAngle:
     return value
 
 
-def _place(theta1: ExtendedAngle, d2: float, D3: float) -> tuple[PointP, PointP, PointP]:
+def _place(c1: float, s1: float, d2: float, D3: float) -> tuple[PointP, PointP, PointP]:
     # canonical placement: p1 at the origin, p2 on the axis matching the kind
-    # of side 3, p3 reached from p1 at angle theta1
-    c1, s1 = _angle.cosh_sinh(theta1)
+    # of side 3, p3 at d2 along the unit direction (c1, s1) = (cosh_e, sinh_e)
+    # of theta1
     d3 = math.sqrt(abs(D3))
     x, y = d2 * c1, d2 * s1
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -263,7 +268,7 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
         if not d2 > 0.0:
             continue
         try:
-            tri = Triangle(*_place(theta1, d2, D3))
+            tri = Triangle(*_place(c1, s1, d2, D3))
         except (NullSide, DegenerateTriangle):
             continue
         if _reproduces(tri, (theta1, None, None), (D1, None, D3)):
@@ -281,9 +286,9 @@ def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triang
     # the ray at p1 points at the unit-distance placement of p3; the one at p2
     # turns the unit base direction by theta2, conjugated because that angle
     # opens back toward p1 (which way a ray points does not move the meet)
-    p1, p2, q = _place(theta1, 1.0, D3)
+    p1, p2, q = _place(*_angle.cosh_sinh(theta1), 1.0, D3)
     base = HyperbolicNumber(1.0, 0.0) if D3 > 0 else HyperbolicNumber(0.0, -1.0)
-    p3 = _meet(p1, displacement(p1, q), p2, base * euler(theta2).conjugate())
+    p3 = _meet(p1, q, p2, base * euler(theta2).conjugate())
     try:
         tri = Triangle(p1, p2, p3)
     except (NullSide, DegenerateTriangle) as exc:
@@ -305,7 +310,7 @@ def solve_sas(theta1: ExtendedAngle, D2: float, D3: float) -> Triangle:
     if (D2 > 0) != (implied > 0):
         raise Inconsistent("sign of D2 contradicts the vertex angle kind")
     try:
-        tri = Triangle(*_place(theta1, math.sqrt(abs(D2)), D3))
+        tri = Triangle(*_place(*_angle.cosh_sinh(theta1), math.sqrt(abs(D2)), D3))
     except DegenerateTriangle as exc:
         raise Inconsistent("the data determine a flat triangle") from exc
     if not _reproduces(tri, (theta1, None, None), (None, D2, D3)):
@@ -336,11 +341,11 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
     # it is null at the default tolerance, or not a number
     if not math.isfinite(s1_sq):
         raise Inconsistent("square sides only close into a degenerate figure")
-    s1 = math.sqrt(s1_sq)
+    # the law of cosines gives the direction of side p1p3 as a unit pair; the
+    # constructor's null test on that side is the one null test it gets
     try:
-        theta1 = _angle.from_point(c1, s1)
-        tri = Triangle(*_place(theta1, d2, D3))
-    except (NullDirection, NullSide, DegenerateTriangle) as exc:
+        tri = Triangle(*_place(c1, math.sqrt(s1_sq), d2, D3))
+    except (NullSide, DegenerateTriangle) as exc:
         raise Inconsistent("square sides only close into a degenerate figure") from exc
     if not _reproduces(tri, (None, None, None), (D1, D2, D3)):
         raise Inconsistent("constructed triangle fails to reproduce the square sides")

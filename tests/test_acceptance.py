@@ -14,7 +14,6 @@ import sys
 import time
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh, sinh_e
-from pseudoeuclid.errors import NullDirection
 from pseudoeuclid.euclid import euclid_angle, euclid_signed_area
 from pseudoeuclid.geometry import PointP
 from pseudoeuclid.hyperbola import ChordClass, EquilateralHyperbola, circumscribed

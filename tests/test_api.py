@@ -107,3 +107,32 @@ def test_no_import_inside_a_function():
                           for inner in ast.walk(stmt)
                           if isinstance(inner, (ast.Import, ast.ImportFrom))}
     assert not found, sorted(found)
+
+
+def test_every_import_is_read():
+    # an imported name that nothing reads is a leftover of deleted code; the
+    # module's own __all__ and a line marked "noqa: F401" re-export on purpose
+    root = PACKAGE.parents[1]
+    unread = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"),
+                        *(root / "bench").glob("*.py")]):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                    for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if (alias.name == "*" or bound in read or bound in exported
+                        or "# noqa: F401" in lines[alias.lineno - 1]):
+                    continue
+                unread.append(f"{path.relative_to(root)}:{alias.lineno} {bound}")
+    assert not unread, unread

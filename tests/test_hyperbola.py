@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_e, sinh_e
+from pseudoeuclid.angle import ExtendedAngle, KleinIndex, sinh_e
 from pseudoeuclid.errors import (
     InvalidInput,
     NotOnHyperbola,
@@ -82,6 +82,8 @@ def test_sample_arm(second_kind):
         second_kind.sample_arm(P1, 0.0, 1.0, 0)
     with pytest.raises(InvalidInput):
         second_kind.sample_arm(H1, 0.0, 1.0, 3)
+    with pytest.raises(InvalidInput, match="parameter range must be finite"):
+        second_kind.sample_arm(P1, 0.0, math.inf, 3)
 
 
 def test_chord_classification(second_kind, first_kind):
@@ -92,7 +94,7 @@ def test_chord_classification(second_kind, first_kind):
         c = hyp.point_at(ExtendedAngle(0.2, k2))
         assert hyp.chord(a, b).chord_class is ChordClass.EXTERNAL
         assert hyp.chord(a, c).chord_class is ChordClass.INTERNAL
-        with pytest.raises(NullDirection):
+        with pytest.raises(NullDirection, match="chord endpoints coincide"):
             hyp.chord(a, a)
     with pytest.raises(NotOnHyperbola):
         second_kind.chord(P(0, 0), P(1, 1))
@@ -154,6 +156,8 @@ def test_midpoint_orthogonality_rejects_diameter(second_kind):
     a = second_kind.point_at(ExtendedAngle(0.9, P1))
     with pytest.raises(NullDirection):
         second_kind.midpoint_orthogonality_residual(a, second_kind.antipode(a))
+    with pytest.raises(NullDirection, match="chord endpoints coincide"):
+        second_kind.midpoint_orthogonality_residual(a, a)
 
 
 def test_tangent_touches_once(second_kind, first_kind):

@@ -1,4 +1,5 @@
-"""Angles, square sides and areas checked against a high-precision mpmath oracle.
+"""Angles, square sides, areas and solver vertices checked against a
+high-precision mpmath oracle.
 
 The oracle takes the exact double inputs, forms the invariant pair in
 extended precision and recovers the angle with atanh on whichever ratio is
@@ -6,6 +7,8 @@ below one, the textbook route the library does not use.  The index comes
 from the sector the pair lies in.  Square sides and areas are formed exactly
 from the vertex doubles; their bounds are c * u * cond, computed per input,
 since a fixed bound would flag the cancellation the data themselves carry.
+Solver vertices are compared with the canonical placement formed from the
+same double data in extended precision.
 """
 from __future__ import annotations
 
@@ -15,12 +18,13 @@ import random
 import mpmath
 import pytest
 
-from pseudoeuclid.angle import KleinIndex, from_point
-from pseudoeuclid.errors import NullDirection
+from pseudoeuclid import angle
+from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh, from_point
+from pseudoeuclid.errors import NullDirection, PseudoEuclidError
 from pseudoeuclid.geometry import PointP
 from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.tol import is_null_xy
-from pseudoeuclid.triangle import Triangle
+from pseudoeuclid.triangle import Triangle, solve_sas, solve_sss, solve_ssa
 
 ALL_KS = (KleinIndex.P1, KleinIndex.H, KleinIndex.M1, KleinIndex.MH)
 PREC = 200  # bits; far beyond what cancellation in the pair can cost
@@ -114,3 +118,82 @@ def test_square_sides_and_area_match_oracle(draw):
             worst_S = max(worst_S, float(abs(el.S - exact) / (U * cond)))
     assert worst_D <= 5.0
     assert worst_S <= 4.0
+
+
+def canonical_triangle(rng: random.Random) -> Triangle:
+    """p1 at the origin, p2 on either axis and p3 at d2 * (cosh_e, sinh_e) of
+    (theta, k): theta uniform over +-14 (up to where directions turn null) or
+    +-3, any k, d2 over 2^+-60 and |p2| within a factor 100 of d2."""
+    theta = rng.uniform(-14.0, 14.0) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+    d2 = math.ldexp(rng.uniform(0.5, 2.0), rng.randint(-60, 60))
+    d3 = d2 * rng.uniform(0.01, 100.0)
+    x, y = (d2 * v for v in cosh_sinh(ExtendedAngle(theta, rng.choice(ALL_KS))))
+    p2 = PointP(d3, 0.0) if rng.random() < 0.5 else PointP(0.0, -d3)
+    return Triangle(PointP(0.0, 0.0), p2, PointP(x, y))
+
+
+def oracle_p3(c, s, D2, D3) -> tuple[mpmath.mpf, mpmath.mpf]:
+    # the canonical third vertex d2 * (c, s), components swapped when D3 < 0
+    d2 = mpmath.sqrt(abs(mpmath.mpf(D2)))
+    return (d2 * c, d2 * s) if D3 > 0 else (d2 * s, d2 * c)
+
+
+def test_sss_vertex_matches_oracle():
+    # the oracle places p3 from the same double D by the law of cosines.  The
+    # bound is u times the conditioning of the cosine's numerator and of
+    # s1 = sqrt(c1^2 - kappa), which amplifies c1's error by c1^2 / s1^2.
+    rng = random.Random(13)
+    worst = 0.0
+    checked = 0
+    with mpmath.workprec(PREC):
+        for _ in range(4000):
+            try:
+                D = canonical_triangle(rng).elements().D
+                tri = solve_sss(*D)
+            except PseudoEuclidError:
+                continue
+            D1, D2, D3 = (mpmath.mpf(v) for v in D)
+            kappa = 1 if (D2 > 0) == (D3 > 0) else -1
+            c1 = (D2 + D3 - D1) / (2 * mpmath.sqrt(abs(D2)) * mpmath.sqrt(abs(D3)))
+            s1 = mpmath.sqrt(c1 * c1 - kappa)
+            want = oracle_p3(c1, s1, D2, D3)
+            cond = ((abs(D1) + abs(D2) + abs(D3)) / abs(D2 + D3 - D1)
+                    * (1 + c1 * c1 / (s1 * s1)))
+            err = mpmath.hypot(tri.p3.x - want[0], tri.p3.y - want[1])
+            worst = max(worst, float(err / (U * cond * mpmath.hypot(*want))))
+            checked += 1
+    assert checked > 3000
+    assert worst <= 4.0
+
+
+def test_sas_vertex_matches_oracle():
+    # the third vertex is d2 * (cosh_e, sinh_e) of the exact double theta1
+    rng = random.Random(17)
+    worst = 0.0
+    checked = 0
+    with mpmath.workprec(PREC):
+        for _ in range(4000):
+            try:
+                el = canonical_triangle(rng).elements()
+                theta1, D2, D3 = el.angles[0], el.D[1], el.D[2]
+                tri = solve_sas(theta1, D2, D3)
+            except PseudoEuclidError:
+                continue
+            t = mpmath.mpf(theta1.theta)
+            ux, uy = theta1.k.unit
+            c, s = ux * mpmath.cosh(t) + uy * mpmath.sinh(t), ux * mpmath.sinh(t) + uy * mpmath.cosh(t)
+            want = oracle_p3(c, s, D2, D3)
+            err = mpmath.hypot(tri.p3.x - want[0], tri.p3.y - want[1])
+            worst = max(worst, float(err / (U * mpmath.hypot(*want))))
+            checked += 1
+    assert checked > 3000
+    assert worst <= 4.0
+
+
+def test_ssa_forms_its_unit_direction_once(monkeypatch):
+    # the pair that enters the discriminant also places every candidate
+    calls = []
+    original = angle.cosh_sinh
+    monkeypatch.setattr(angle, "cosh_sinh", lambda a: calls.append(a) or original(a))
+    assert len(solve_ssa(ExtendedAngle(math.atanh(0.6), KleinIndex.P1), -9.0, 25.0)) == 2
+    assert len(calls) == 1

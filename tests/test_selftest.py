@@ -18,6 +18,11 @@ def test_formerly_failing_seeds_pass(seed, n):
     assert report["ok"], report["failed"]
 
 
+def test_sample_count_must_be_positive():
+    with pytest.raises(ValueError, match="sample count must be positive, got 0"):
+        run_selftest(0, 0)
+
+
 def test_seed_band_passes():
     # a fixed band beside the acceptance seed; the README has the 0-399 sweep
     failed = {s: r["failed"] for s in range(64) if not (r := run_selftest(s, 300))["ok"]}

@@ -215,6 +215,12 @@ def test_sas_null_third_side():
         solve_sas(ExtendedAngle(t), d2 * d2, d3 * d3)
 
 
+def test_sas_flat_triangle():
+    # theta1 = 1e-13 lays p3 along p1p2: a genuine angle, but no area
+    with pytest.raises(Inconsistent, match="the data determine a flat triangle"):
+        solve_sas(ExtendedAngle(1e-13, KleinIndex.P1), 1.0, 1.0)
+
+
 def test_sas_roundtrips_random_triangles():
     rng = random.Random(8)
     for _ in range(100):

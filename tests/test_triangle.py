@@ -280,3 +280,11 @@ def test_elements_do_not_read_the_null_tolerance(vertices):
     assert el == twin
     assert [v.hex() for v in el.D + el.d] == [v.hex() for v in twin.D + twin.d]
     assert [a.theta.hex() for a in el.angles] == [a.theta.hex() for a in twin.angles]
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, "1e-3"])
+def test_set_null_eps_refuses_and_keeps_the_tolerance(value):
+    before = null_eps()
+    with pytest.raises(ValueError, match="null epsilon must be a positive finite number"):
+        set_null_eps(value)
+    assert null_eps() == before
