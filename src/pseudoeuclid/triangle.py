@@ -37,9 +37,6 @@ __all__ = [
 ]
 
 RIGHT_ANGLE_TOL = 1e-9
-# solver round-trip tolerances: candidate solutions must reproduce the data
-SOLVE_ANGLE_TOL = 1e-8
-SOLVE_SIDE_TOL = 1e-8
 
 
 def _worst(residuals: Iterable[float]) -> float:
@@ -224,136 +221,145 @@ def _place(c1: float, s1: float, d2: float, D3: float) -> tuple[PointP, PointP, 
     return PointP(0.0, 0.0), PointP(0.0, -d3), PointP(y, x)
 
 
-def _angles_close(got: ExtendedAngle, want: ExtendedAngle) -> bool:
-    return got.k is want.k and abs(got.theta - want.theta) <= SOLVE_ANGLE_TOL * (1.0 + abs(want.theta))
-
-
-def _rel_close(got: float, want: float) -> bool:
-    return abs(got - want) <= SOLVE_SIDE_TOL * max(abs(got), abs(want))
-
-
-def _reproduces(tri: Triangle, angles: tuple[ExtendedAngle | None, ...],
-                D: tuple[float | None, ...]) -> bool:
-    """The solvers' round trip: tri has each given vertex angle and square
-    side (entries left None are not checked)."""
-    el = tri.elements()
-    return (all(want is None or _angles_close(got, want) for got, want in zip(el.angles, angles))
-            and all(want is None or _rel_close(got, want) for got, want in zip(el.D, D)))
-
-
 def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
     """All triangles with vertex angle theta1, opposite square side D1, and
     adjacent square side D3 (the side from p1 to p2).
 
-    d2 solves a quadratic, so there are 0, 1 or 2 solutions; the sign of the
-    discriminant d3^2 sinh_e^2(theta1) + kappa1 sign(D3) D1 decides which.
-    Roots that fail to close into a counterclockwise triangle reproducing the
-    data are discarded.
-    """
+    d2 solves d2^2 - 2 kappa1 sign(D3) d3 cosh_e d2 + kappa1 sign(D3) (D3 - D1)
+    = 0.  Sign tests decide the 0, 1 or 2 solutions: sinh_e(theta1) > 0, a
+    discriminant d3^2 sinh_e^2 + kappa1 sign(D3) D1 >= 0, and one per root
+    d2 > 0 whose placement is neither null nor flat."""
     theta1 = _as_angle("theta1", theta1)
     D1 = _as_square("D1", D1)
     D3 = _as_square("D3", D3)
     c1, s1 = _angle.cosh_sinh(theta1)
-    kappa = theta1.k.kappa
-    sign3 = 1.0 if D3 > 0 else -1.0
+    if not s1 > 0.0:
+        return []
+    # kappa1 sign(D3), the one sign the quadratic carries
+    sign = theta1.k.kappa * (1.0 if D3 > 0 else -1.0)
     d3 = math.sqrt(abs(D3))
-    disc = d3 * d3 * s1 * s1 + kappa * sign3 * D1
+    disc = d3 * d3 * s1 * s1 + sign * D1
     if disc < 0.0:
         return []
+    if disc == math.inf:
+        raise InvalidInput("the discriminant of d2 does not fit a double")
     root = math.sqrt(disc)
-    base = kappa * sign3 * d3 * c1
-    candidates = [base] if root == 0.0 else [base - root, base + root]
+    base = sign * d3 * c1
+    if root == 0.0:
+        candidates = (base,)
+    else:
+        # the root away from zero adds like signs; the other is the product of
+        # the roots, kappa1 sign(D3) (D3 - D1), over it, which does not cancel
+        # (Higham 2002, sec. 1.8).  D3 - D1 overflows only where the signs
+        # differ, and there the terms divided first do not cancel either
+        far = base + math.copysign(root, base)
+        gap = D3 - D1
+        ratio = gap / far if math.isfinite(gap) else D3 / far - D1 / far
+        candidates = (sign * ratio, far)
     solutions = []
     for d2 in candidates:
         if not d2 > 0.0:
             continue
         try:
-            tri = Triangle(*_place(c1, s1, d2, D3))
+            solutions.append(Triangle(*_place(c1, s1, d2, D3)))
         except (NullSide, DegenerateTriangle):
             continue
-        if _reproduces(tri, (theta1, None, None), (D1, None, D3)):
-            solutions.append(tri)
     return solutions
 
 
 def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triangle:
     """The triangle with angles theta1, theta2 at the ends of a side of square
-    length D3.  Raises ParallelRays when the two rays never meet and
-    Inconsistent when they meet on the wrong side."""
+    length D3.  Raises ParallelRays when the two rays never meet, Inconsistent
+    when they meet in a degenerate figure or on the wrong side: the right side
+    is sinh_e(theta1), sinh_e(theta2), sign(D3) sinh_e(theta1 + theta2) > 0."""
     theta1 = _as_angle("theta1", theta1)
     theta2 = _as_angle("theta2", theta2)
     D3 = _as_square("D3", D3)
+    c1, s1 = _angle.cosh_sinh(theta1)
     # the ray at p1 points at the unit-distance placement of p3; the one at p2
     # turns the unit base direction by theta2, conjugated because that angle
     # opens back toward p1 (which way a ray points does not move the meet)
-    p1, p2, q = _place(*_angle.cosh_sinh(theta1), 1.0, D3)
+    p1, p2, q = _place(c1, s1, 1.0, D3)
     base = HyperbolicNumber(1.0, 0.0) if D3 > 0 else HyperbolicNumber(0.0, -1.0)
-    p3 = _meet(p1, q, p2, base * euler(theta2).conjugate())
+    e2 = euler(theta2)
+    p3 = _meet(p1, q, p2, base * e2.conjugate())
     try:
         tri = Triangle(p1, p2, p3)
     except (NullSide, DegenerateTriangle) as exc:
         raise Inconsistent("the rays meet in a degenerate configuration") from exc
-    if not _reproduces(tri, (theta1, theta2, None), (None, None, D3)):
-        raise Inconsistent("no counterclockwise triangle has these angles on this side")
+    # p3 = t q = p2 + u conj(e2), t = d3 s2 / S12, u = -d3 s1 / S12 with
+    # S12 = sign(D3) sinh_e(theta1 + theta2): the angle at p1 is theta1 iff
+    # t > 0, the one at p2 is theta2 iff u < 0, and p1 p2 p3 turns
+    # counterclockwise iff t s1 > 0
+    if not (s1 > 0.0 and e2.y > 0.0 and math.copysign(1.0, D3) * (c1 * e2.y + s1 * e2.x) > 0.0):
+        raise Inconsistent("the rays meet on the wrong side: not all of sinh_e(theta1), "
+                           "sinh_e(theta2), sign(D3) sinh_e(theta1 + theta2) are > 0")
     return tri
 
 
 def solve_sas(theta1: ExtendedAngle, D2: float, D3: float) -> Triangle:
-    """The triangle with square sides D2, D3 framing vertex angle theta1."""
+    """The triangle with square sides D2, D3 framing vertex angle theta1; it
+    needs sign(D2) = kappa1 sign(D3) and sinh_e(theta1) > 0."""
     theta1 = _as_angle("theta1", theta1)
     D2 = _as_square("D2", D2)
     D3 = _as_square("D3", D3)
-    sign3 = 1.0 if D3 > 0 else -1.0
     # the placement forces sign(D2) = kappa1 * sign(D3); a mismatched datum
     # cannot come from any triangle with this vertex angle
-    implied = theta1.k.kappa * sign3
-    if (D2 > 0) != (implied > 0):
+    if (D2 > 0) != ((theta1.k.kappa > 0) == (D3 > 0)):
         raise Inconsistent("sign of D2 contradicts the vertex angle kind")
+    c1, s1 = _angle.cosh_sinh(theta1)
+    if s1 < 0.0:
+        raise Inconsistent("sinh_e(theta1) < 0: the angle opens clockwise")
+    # sinh_e(theta1) = 0 lays p3 on the line p1p2, which the constructor refuses
     try:
-        tri = Triangle(*_place(*_angle.cosh_sinh(theta1), math.sqrt(abs(D2)), D3))
+        return Triangle(*_place(c1, s1, math.sqrt(abs(D2)), D3))
     except DegenerateTriangle as exc:
         raise Inconsistent("the data determine a flat triangle") from exc
-    if not _reproduces(tri, (theta1, None, None), (None, D2, D3)):
-        raise Inconsistent("no counterclockwise triangle reproduces these data")
-    return tri
 
 
 def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
     """The triangle with square sides D1, D2, D3 (opposite-vertex labelling).
 
     Realizable exactly when Q = D1^2 + D2^2 + D3^2 - 2(D1 D2 + D1 D3 + D2 D3)
-    is positive, in which case the area satisfies (2S)^2 = Q/4.  There is no
+    is positive (a sign decided exactly), and then (2S)^2 = Q/4.  There is no
     triangle-inequality obstruction: wildly unequal square sides can still
     close (sides of different kinds trade off in the quadratic form).
     """
     D1 = _as_square("D1", D1)
     D2 = _as_square("D2", D2)
     D3 = _as_square("D3", D3)
-    d2 = math.sqrt(abs(D2))
-    d3 = math.sqrt(abs(D3))
+    # the float Q is within 8 u (|D1| + |D2| + |D3|)^2, plus underflow, of the
+    # true one; only within that bound is Q recomputed exactly on the integers
+    # the D are over their common power-of-two denominator (Shewchuk 1997)
+    q = realizability(D1, D2, D3)
+    a = abs(D1) + abs(D2) + abs(D3)
+    if not abs(q) > 2.0 ** -50 * a * a + 2.0 ** -1070:
+        ratios = [D.as_integer_ratio() for D in (D1, D2, D3)]
+        scale = max(den for _, den in ratios)
+        q = realizability(*(num * (scale // den) for num, den in ratios))
+    if not q > 0:
+        raise Inconsistent("square sides violate the realizability condition Q > 0")
+    d2, d3 = math.sqrt(abs(D2)), math.sqrt(abs(D3))
     c1 = (D2 + D3 - D1) / (2.0 * d2 * d3)
     # compared by sign: the product D2 * D3 can underflow to zero
     kappa = 1.0 if (D2 > 0) == (D3 > 0) else -1.0
     s1_sq = c1 * c1 - kappa
-    if s1_sq <= 0.0:
-        raise Inconsistent("square sides violate the realizability condition")
-    # where c1 or c1 * c1 overflowed, the direction (c1, s1) cannot be placed:
-    # it is null at the default tolerance, or not a number
-    if not math.isfinite(s1_sq):
+    # s1_sq = Q / (4 |D2 D3|) > 0; where it rounded to zero or below, or c1 or
+    # c1 * c1 overflowed, the direction (c1, s1) cannot be placed: it lies on
+    # the base line, is null at the default tolerance, or is not a number
+    if not 0.0 < s1_sq < math.inf:
         raise Inconsistent("square sides only close into a degenerate figure")
     # the law of cosines gives the direction of side p1p3 as a unit pair; the
     # constructor's null test on that side is the one null test it gets
     try:
-        tri = Triangle(*_place(c1, math.sqrt(s1_sq), d2, D3))
+        return Triangle(*_place(c1, math.sqrt(s1_sq), d2, D3))
     except (NullSide, DegenerateTriangle) as exc:
         raise Inconsistent("square sides only close into a degenerate figure") from exc
-    if not _reproduces(tri, (None, None, None), (D1, D2, D3)):
-        raise Inconsistent("constructed triangle fails to reproduce the square sides")
-    return tri
 
 
 def realizability(D1: float, D2: float, D3: float) -> float:
-    """Q = sum of squares minus twice the pairwise products; positive iff the
-    three square sides close into a genuine triangle, with (2S)^2 = Q/4."""
+    """Q = sum of squares minus twice the pairwise products, exact on integers;
+    positive iff the three square sides close into a genuine triangle, with (2S)^2 = Q/4."""
     return (D1 * D1 + D2 * D2 + D3 * D3
-            - 2.0 * (D1 * D2 + D1 * D3 + D2 * D3))
+            - 2 * (D1 * D2 + D1 * D3 + D2 * D3))
+

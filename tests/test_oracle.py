@@ -1,5 +1,5 @@
-"""Angles, square sides, areas and solver vertices checked against a
-high-precision mpmath oracle.
+"""Angles, square sides, areas, solver vertices and solver verdicts checked
+against a high-precision mpmath oracle.
 
 The oracle takes the exact double inputs, forms the invariant pair in
 extended precision and recovers the angle with atanh on whichever ratio is
@@ -8,12 +8,16 @@ from the sector the pair lies in.  Square sides and areas are formed exactly
 from the vertex doubles; their bounds are c * u * cond, computed per input,
 since a fixed bound would flag the cancellation the data themselves carry.
 Solver vertices are compared with the canonical placement formed from the
-same double data in extended precision.
+same double data in extended precision.  A solver may refuse data only where
+the exact data have no answer, where they lie within c * u * cond of the
+boundary of the solvable set, or where the exact answer is within twice the
+package's null or parallel tolerance of a figure it refuses by design.
 """
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -21,10 +25,10 @@ import pytest
 from pseudoeuclid import angle
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh, from_point
 from pseudoeuclid.errors import NullDirection, PseudoEuclidError
-from pseudoeuclid.geometry import PointP
+from pseudoeuclid.geometry import PARALLEL_TOL, PointP
 from pseudoeuclid.selftest import random_triangle
-from pseudoeuclid.tol import is_null_xy
-from pseudoeuclid.triangle import Triangle, solve_sas, solve_sss, solve_ssa
+from pseudoeuclid.tol import is_null_xy, null_eps
+from pseudoeuclid.triangle import Triangle, realizability, solve_asa, solve_sas, solve_sss, solve_ssa
 
 ALL_KS = (KleinIndex.P1, KleinIndex.H, KleinIndex.M1, KleinIndex.MH)
 PREC = 200  # bits; far beyond what cancellation in the pair can cost
@@ -134,8 +138,18 @@ def canonical_triangle(rng: random.Random) -> Triangle:
 
 def oracle_p3(c, s, D2, D3) -> tuple[mpmath.mpf, mpmath.mpf]:
     # the canonical third vertex d2 * (c, s), components swapped when D3 < 0
-    d2 = mpmath.sqrt(abs(mpmath.mpf(D2)))
+    return oracle_place(c, s, mpmath.sqrt(abs(mpmath.mpf(D2))), D3)
+
+
+def oracle_place(c, s, d2, D3) -> tuple[mpmath.mpf, mpmath.mpf]:
     return (d2 * c, d2 * s) if D3 > 0 else (d2 * s, d2 * c)
+
+
+def oracle_unit(a: ExtendedAngle) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(cosh_e, sinh_e) of the exact double theta of ``a``."""
+    t = mpmath.mpf(a.theta)
+    ux, uy = a.k.unit
+    return ux * mpmath.cosh(t) + uy * mpmath.sinh(t), ux * mpmath.sinh(t) + uy * mpmath.cosh(t)
 
 
 def test_sss_vertex_matches_oracle():
@@ -179,10 +193,7 @@ def test_sas_vertex_matches_oracle():
                 tri = solve_sas(theta1, D2, D3)
             except PseudoEuclidError:
                 continue
-            t = mpmath.mpf(theta1.theta)
-            ux, uy = theta1.k.unit
-            c, s = ux * mpmath.cosh(t) + uy * mpmath.sinh(t), ux * mpmath.sinh(t) + uy * mpmath.cosh(t)
-            want = oracle_p3(c, s, D2, D3)
+            want = oracle_p3(*oracle_unit(theta1), D2, D3)
             err = mpmath.hypot(tri.p3.x - want[0], tri.p3.y - want[1])
             worst = max(worst, float(err / (U * mpmath.hypot(*want))))
             checked += 1
@@ -197,3 +208,285 @@ def test_ssa_forms_its_unit_direction_once(monkeypatch):
     monkeypatch.setattr(angle, "cosh_sinh", lambda a: calls.append(a) or original(a))
     assert len(solve_ssa(ExtendedAngle(math.atanh(0.6), KleinIndex.P1), -9.0, 25.0)) == 2
     assert len(calls) == 1
+
+
+BOUNDARY_C = 8.0  # the c of c * u * cond for a verdict near a boundary
+
+
+def off_by(got: PointP, want) -> mpmath.mpf:
+    """Euclidean distance of got from want, relative to |want|."""
+    return mpmath.hypot(got.x - want[0], got.y - want[1]) / mpmath.hypot(*want)
+
+
+def refused_by_design(D3, p3) -> bool:
+    """Whether the exact figure with p1 at the origin, p2 on the axis of D3 and
+    this p3 is within twice the null tolerance of a null side, or within twice
+    the parallel tolerance of a flat triangle: the constructor refuses those
+    on purpose, and rounding may push the placed figure either way."""
+    d3 = mpmath.sqrt(abs(mpmath.mpf(D3)))
+    p2 = (d3, 0) if D3 > 0 else (0, -d3)
+    for dx, dy in (p2, p3, (p3[0] - p2[0], p3[1] - p2[1])):
+        if abs(dx * dx - dy * dy) <= 2 * null_eps() * (dx * dx + dy * dy):
+            return True
+    return abs(p2[0] * p3[1] - p2[1] * p3[0]) <= 2 * PARALLEL_TOL * mpmath.hypot(*p2) * mpmath.hypot(*p3)
+
+
+def oracle_ssa(theta1: ExtendedAngle, D1: float, D3: float):
+    """The exact SSA answers: [(p3, cond)] for each positive root, the roots
+    being d2 = base +- sqrt(disc) of the solver's quadratic, and whether the
+    data lie within c u cond of a place where the root count changes (the
+    discriminant or a root at zero).  cond = 1 + (d3^2 s1^2 + |D1|) / |disc|
+    bounds the relative sensitivity of either root to the data's rounding."""
+    c, s = oracle_unit(theta1)
+    if not s > 0:
+        return [], False
+    sign3 = 1 if D3 > 0 else -1
+    d3 = mpmath.sqrt(abs(mpmath.mpf(D3)))
+    size = d3 * d3 * s * s + abs(mpmath.mpf(D1))
+    disc = d3 * d3 * s * s + theta1.k.kappa * sign3 * mpmath.mpf(D1)
+    near = abs(disc) <= BOUNDARY_C * U * size
+    if disc < 0:
+        return [], near
+    cond = 1 + size / disc if disc else mpmath.inf
+    base, root = theta1.k.kappa * sign3 * d3 * c, mpmath.sqrt(disc)
+    answers = []
+    for d2 in (base - root, base + root):
+        near = near or abs(d2) <= BOUNDARY_C * U * cond * (abs(base) + root)
+        if d2 > 0:
+            answers.append((oracle_place(c, s, d2, D3), cond))
+    return answers, near
+
+
+def oracle_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float):
+    """The exact ASA answer (p3 or None), its cond, and whether the data lie
+    within c u cond of the boundary or the rays are parallel by design.
+
+    The oracle meets the two rays in extended precision and accepts the
+    figure when it turns counterclockwise and its angles at p1 and p2,
+    recovered by oracle_angle, are theta1 and theta2; it does not use the
+    solver's sign test.  The rays part at S12 = sinh_e(theta1 + theta2), so
+    the meet rounds by cond = 1 + (|c1 s2| + |s1 c2|) / |S12|."""
+    (c1, s1), (c2, s2) = oracle_unit(theta1), oracle_unit(theta2)
+    d3 = mpmath.sqrt(abs(mpmath.mpf(D3)))
+    q = oracle_place(c1, s1, 1, D3)
+    # the ray at p2 turns the base direction toward p1 back by theta2
+    (bx, by), (ex, ey) = ((d3, 0), (c2, -s2)) if D3 > 0 else ((0, -d3), (s2, -c2))
+    S12 = c1 * s2 + s1 * c2
+    cond = 1 + (abs(c1 * s2) + abs(s1 * c2)) / abs(S12) if S12 else mpmath.inf
+    det = q[1] * ex - q[0] * ey
+    near = (abs(S12) <= BOUNDARY_C * U * (abs(c1 * s2) + abs(s1 * c2))
+            or abs(det) <= 2 * PARALLEL_TOL * mpmath.hypot(*q) * mpmath.hypot(ex, ey))
+    if not det:
+        return None, cond, near
+    t = (by * ex - bx * ey) / det
+    p3 = (t * q[0], t * q[1])
+
+    def angle_at(o, a, b):
+        x1, y1, x2, y2 = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
+        return oracle_angle(x1 * x2 - y1 * y2, x1 * y2 - y1 * x2)
+
+    def is_angle(got, want):
+        return got[1] is want.k and abs(got[0] - want.theta) <= mpmath.mpf(2) ** -100 * (1 + abs(want.theta))
+
+    ok = (bx * p3[1] - by * p3[0] > 0 and is_angle(angle_at((0, 0), (bx, by), p3), theta1)
+          and is_angle(angle_at((bx, by), p3, (0, 0)), theta2))
+    return (p3 if ok else None), cond, near
+
+
+def oracle_sss(D1: float, D2: float, D3: float):
+    """The exact SSS answer (p3 or None) and whether |Q| is within c u of
+    (|D1| + |D2| + |D3|)^2, the size of its terms."""
+    D1, D2, D3 = (mpmath.mpf(v) for v in (D1, D2, D3))
+    Q = D1 * D1 + D2 * D2 + D3 * D3 - 2 * (D1 * D2 + D1 * D3 + D2 * D3)
+    near = abs(Q) <= BOUNDARY_C * U * (abs(D1) + abs(D2) + abs(D3)) ** 2
+    if not Q > 0:
+        return None, near
+    kappa = 1 if (D2 > 0) == (D3 > 0) else -1
+    c1 = (D2 + D3 - D1) / (2 * mpmath.sqrt(abs(D2)) * mpmath.sqrt(abs(D3)))
+    return oracle_p3(c1, mpmath.sqrt(c1 * c1 - kappa), D2, D3), near
+
+
+def any_angle(rng: random.Random) -> ExtendedAngle:
+    return ExtendedAngle(rng.uniform(-3.0, 3.0), rng.choice(ALL_KS))
+
+
+def ssa_data(rng: random.Random) -> tuple[ExtendedAngle, float, float]:
+    """SSA data from a canonical triangle: its own D1 (one root at least), a
+    D1 that nearly zeroes the discriminant from either side, or one at
+    random, each also with an angle of any sign and index."""
+    el = canonical_triangle(rng).elements()
+    theta1, D1, D3 = el.angles[0], el.D[0], el.D[2]
+    mode = rng.randrange(6)
+    if mode >= 3:
+        theta1, mode = any_angle(rng), mode - 3
+    if mode == 1:
+        s = cosh_sinh(theta1)[1]
+        nudge = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -1.0)
+        D1 = -theta1.k.kappa * D3 * s * s * nudge
+    elif mode == 2:
+        D1 = rng.choice((-1.0, 1.0)) * abs(D3) * 10.0 ** rng.uniform(-2.0, 2.0)
+    return theta1, D1, D3
+
+
+def test_ssa_vertices_and_counts_match_oracle():
+    # each solution is within 4 u cond of a distinct exact root, and the
+    # counts agree except at the boundary or where the exact figure is
+    # refused by design
+    rng = random.Random(19)
+    worst = 0.0
+    two = 0
+    with mpmath.workprec(PREC):
+        for _ in range(3000):
+            theta1, D1, D3 = ssa_data(rng)
+            try:
+                sols = solve_ssa(theta1, D1, D3)
+            except PseudoEuclidError:
+                continue
+            answers, near = oracle_ssa(theta1, D1, D3)
+            matched = set()
+            for tri in sols:
+                errs = [off_by(tri.p3, p3) / (U * cond) for p3, cond in answers]
+                assert errs or near, (theta1, D1, D3)
+                if errs:
+                    best = min(range(len(errs)), key=errs.__getitem__)
+                    assert best not in matched, (theta1, D1, D3)
+                    matched.add(best)
+                    worst = max(worst, float(errs[best]))
+            missing = [p3 for i, (p3, _) in enumerate(answers) if i not in matched]
+            assert near or all(refused_by_design(D3, p3) for p3 in missing), (theta1, D1, D3)
+            two += len(sols) == 2
+    assert two > 300
+    assert worst <= 4.0
+
+
+def test_asa_vertex_matches_oracle():
+    rng = random.Random(23)
+    worst = 0.0
+    checked = 0
+    with mpmath.workprec(PREC):
+        for _ in range(3000):
+            el = canonical_triangle(rng).elements()
+            theta1, theta2, D3 = el.angles[0], el.angles[1], el.D[2]
+            try:
+                tri = solve_asa(theta1, theta2, D3)
+            except PseudoEuclidError:
+                continue
+            want, cond, _ = oracle_asa(theta1, theta2, D3)
+            worst = max(worst, float(off_by(tri.p3, want) / (U * cond)))
+            checked += 1
+    assert checked > 2000
+    assert worst <= 4.0
+
+
+# Each returns the data of a verdict the exact data do not explain, or None.
+# A verdict is explained when it agrees with the exact one, when the data lie
+# within c u cond of the boundary, or when the exact figure is refused by design.
+
+def _unexplained_ssa(rng):
+    theta1, D1, D3 = ssa_data(rng)
+    answers, near = oracle_ssa(theta1, D1, D3)
+    try:
+        count = len(solve_ssa(theta1, D1, D3))
+    except PseudoEuclidError:
+        count = 0
+    if near or count == len(answers):
+        return None
+    # a missing root must be refused by design (which of two such roots the
+    # solver kept is not pinned here); an extra one is never explained
+    if count > len(answers) or sum(not refused_by_design(D3, p3) for p3, _ in answers) > count:
+        return (theta1, D1, D3)
+    return None
+
+
+def _unexplained_asa(rng):
+    # every index for both angles and both signs of D3 in turn, half of the
+    # draws from the angles of a canonical triangle on that base
+    i = rng.randrange(32)
+    k1, k2, sign3 = ALL_KS[i % 4], ALL_KS[i // 4 % 4], (1.0, -1.0)[i // 16]
+    if rng.random() < 0.5:
+        el = canonical_triangle(rng).elements()
+        theta1, theta2, D3 = el.angles[0], el.angles[1], el.D[2]
+    else:
+        theta1, theta2 = any_angle(rng), any_angle(rng)
+        D3 = 10.0 ** rng.uniform(-6.0, 6.0)
+    theta1, theta2 = ExtendedAngle(theta1.theta, k1), ExtendedAngle(theta2.theta, k2)
+    D3 = math.copysign(D3, sign3)
+    want, _, near = oracle_asa(theta1, theta2, D3)
+    try:
+        solve_asa(theta1, theta2, D3)
+    except PseudoEuclidError:
+        if want is not None and not near and not refused_by_design(D3, want):
+            return (theta1, theta2, D3)
+        return None
+    return (theta1, theta2, D3) if want is None and not near else None
+
+
+def _unexplained_sas(rng):
+    theta1, D3 = any_angle(rng), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
+    D2 = rng.choice((-1.0, 1.0)) * abs(D3) * 10.0 ** rng.uniform(-2.0, 2.0)
+    c, s = oracle_unit(theta1)
+    # the sign of D2 and that of sinh_e(theta1) are exact: no margin
+    exists = (D2 > 0) == (theta1.k.kappa * D3 > 0) and s > 0
+    try:
+        solve_sas(theta1, D2, D3)
+    except PseudoEuclidError:
+        if exists and not refused_by_design(D3, oracle_p3(c, s, D2, D3)):
+            return (theta1, D2, D3)
+        return None
+    return None if exists else (theta1, D2, D3)
+
+
+def _unexplained_sss(rng):
+    # a canonical triangle's sides, D1 moved to within a relative 1e-16..1e-1
+    # of closing flat on either side, or three sides at random
+    el = canonical_triangle(rng).elements()
+    D1, D2, D3 = el.D
+    mode = rng.randrange(3)
+    if mode == 1:
+        d2, d3 = math.sqrt(abs(D2)), math.sqrt(abs(D3))
+        edge = (d2 - d3) ** 2 if rng.random() < 0.5 else (d2 + d3) ** 2
+        D1 = math.copysign(edge, D2) * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -1.0))
+    elif mode == 2:
+        D1, D2, D3 = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3))
+    want, near = oracle_sss(D1, D2, D3)
+    try:
+        solve_sss(D1, D2, D3)
+    except PseudoEuclidError:
+        if want is not None and not near and not refused_by_design(D3, want):
+            return (D1, D2, D3)
+        return None
+    return (D1, D2, D3) if want is None and not near else None
+
+
+@pytest.mark.parametrize("unexplained", [_unexplained_ssa, _unexplained_asa, _unexplained_sas,
+                                         _unexplained_sss], ids=["ssa", "asa", "sas", "sss"])
+def test_solver_verdicts_match_the_exact_data(unexplained):
+    rng = random.Random(29)
+    with mpmath.workprec(PREC):
+        bad = [case for case in (unexplained(rng) for _ in range(3000)) if case]
+    assert not bad, bad[:3]
+
+
+def test_sss_refuses_exactly_where_q_is_not_positive():
+    # near-flat square sides (one D1 within a relative 1e-17..1e-8 of
+    # (d2 +- d3)^2) at scales 2^-540..2^500, where the float Q often has the
+    # wrong sign: solve_sss names the realizability test exactly when the
+    # exact Q of the three doubles is not positive
+    rng = random.Random(31)
+    wrong_float = 0
+    for _ in range(4000):
+        d2, d3 = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+        edge = (d2 - d3) ** 2 if rng.random() < 0.5 else (d2 + d3) ** 2
+        D = [edge * (1.0 + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-17.0, -8.0)), d2 * d2, d3 * d3]
+        sign = rng.choice((-1.0, 1.0))
+        k = rng.randint(-270, 250)
+        D = [sign * math.ldexp(v, 2 * k) for v in rng.sample(D, 3)]
+        exact = realizability(*map(Fraction, D)) > 0
+        wrong_float += (realizability(*D) > 0) != exact
+        try:
+            solve_sss(*D)
+            refused = False
+        except PseudoEuclidError as exc:
+            refused = "Q > 0" in str(exc)
+        assert refused != exact, D
+    assert wrong_float > 100

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -298,9 +299,59 @@ def test_sss_rejects_null_side():
 
 
 def test_sss_whose_cosine_overflows_is_inconsistent():
-    # (D2 + D3 - D1) / (2 d2 d3) is inf / inf here
+    # (D2 + D3 - D1) / (2 d2 d3) is inf / inf here, although Q = 5e616 > 0
     with pytest.raises(Inconsistent, match="degenerate figure"):
+        solve_sss(-1e308, 1e308, 1e308)
+    # equal positive sides have Q < 0, which the exact sign test sees first
+    with pytest.raises(Inconsistent, match="realizability condition"):
         solve_sss(1e308, 1e308, 1e308)
+
+
+@pytest.mark.parametrize("D, realizable", [
+    ((14.65685424949238, 8.0, 1.0), False),   # float Q = +5.7e-14, exact Q = -5.7e-15
+    ((3.0000000000000004, 12.0, 3.0), False),  # float Q = 0, exact Q = -1.1e-14
+    ((0.9999999999999999, 4.0, 1.0), True),    # float Q = 0, exact Q = +8.9e-16
+])
+def test_sss_decides_realizability_by_the_exact_sign_of_q(D, realizable):
+    # square sides a rounding away from closing flat: the float Q has no sign
+    # or the wrong one, the exact Q of the three doubles gives the verdict
+    assert (realizability(*map(Fraction, D)) > 0) == realizable
+    q = realizability(*D)
+    assert q == 0.0 or (q > 0) != realizable
+    # realizable data whose rounded cosine lies on the base line close flat
+    with pytest.raises(Inconsistent, match="degenerate figure" if realizable else "Q > 0"):
+        solve_sss(*D)
+
+
+def test_solvers_decide_without_building_elements(monkeypatch):
+    # every verdict is a sign test on the data, taken before or without
+    # recomputing a candidate's elements
+    def refuse(self):
+        raise AssertionError("a solver built the elements of a candidate")
+
+    monkeypatch.setattr(Triangle, "elements", refuse)
+    assert len(solve_ssa(A06, -9.0, 25.0)) == 2
+    assert len(solve_ssa(ExtendedAngle(0.4), -16.0, -9.0)) == 1
+    assert solve_ssa(ExtendedAngle(0.5), -9.0, 25.0) == []       # discriminant < 0
+    assert solve_ssa(ExtendedAngle(-0.5), -9.0, 25.0) == []      # sinh_e(theta1) < 0
+    assert solve_ssa(ExtendedAngle(0.5, M1), -9.0, 25.0) == []   # no root d2 > 0
+    solve_asa(ExtendedAngle(math.atanh(1.0 / 3.0)), ExtendedAngle(math.atanh(0.5)), 25.0)
+    with pytest.raises(Inconsistent, match="sinh_e"):
+        solve_asa(ExtendedAngle(-0.3), ExtendedAngle(0.5), 25.0)
+    with pytest.raises(ParallelRays):
+        solve_asa(A06, ExtendedAngle(-A06.theta, KleinIndex.P1), 25.0)
+    solve_sas(ExtendedAngle(math.log(2.0)), 16.0, 25.0)
+    with pytest.raises(Inconsistent, match="clockwise"):
+        solve_sas(ExtendedAngle(-math.log(2.0)), 16.0, 25.0)
+    with pytest.raises(Inconsistent, match="contradicts"):
+        solve_sas(ExtendedAngle(math.log(2.0)), -16.0, 25.0)
+    with pytest.raises(Inconsistent, match="flat"):
+        solve_sas(ExtendedAngle(1e-13, KleinIndex.P1), 1.0, 1.0)
+    solve_sss(-9.0, 16.0, 25.0)
+    with pytest.raises(Inconsistent, match="Q > 0"):
+        solve_sss(1.0, 1.0, 1.0)
+    with pytest.raises(Inconsistent, match="degenerate figure"):
+        solve_sss(0.9999999999999999, 4.0, 1.0)
 
 
 def test_ssa_whose_placement_overflows_is_invalid_input():
