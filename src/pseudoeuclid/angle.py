@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NullDirection, OverflowingAngle
+from .errors import InvalidInput, NullDirection, OverflowingAngle
 from .tol import is_null_xy, null_eps, rescaled
 
 __all__ = [
@@ -158,13 +158,20 @@ def sub_angles(a: ExtendedAngle, b: ExtendedAngle) -> ExtendedAngle:
     return ExtendedAngle(a.theta - b.theta, a.k * b.k)
 
 
+def _cos_2phi(phi: float) -> float:
+    # math.cos raises a bare ValueError on inf and passes nan on; both are refused
+    if not math.isfinite(2.0 * phi):
+        raise InvalidInput(f"2 * phi must be finite, got phi = {phi!r}")
+    return math.cos(2.0 * phi)
+
+
 def circle_map(phi: float) -> tuple[float, float]:
     """Map a Euclidean angle phi to extended values on the unit hyperbolas.
 
     (cos phi, sin phi) normalized by sqrt|cos 2 phi|; undefined at
-    phi = pi/4 + n*pi/2 where the ray is null.
+    phi = pi/4 + n*pi/2 where the ray is null, and wherever 2 phi is not finite.
     """
-    c2 = math.cos(2.0 * phi)
+    c2 = _cos_2phi(phi)
     if abs(c2) <= null_eps():
         raise NullDirection(f"phi = {phi} points along a null line")
     r = math.sqrt(abs(c2))

@@ -205,7 +205,7 @@ def _cmd_sample(args) -> int:
         rows = []
         for i in range(n):
             phi = lo + i * step
-            c2 = math.cos(2.0 * phi)
+            c2 = _angle._cos_2phi(phi)
             if abs(c2) <= gap:
                 rows.append({"phi": phi, "cos2phi": c2, "x": None, "y": None,
                              "arm": None, "gap": True})

@@ -168,22 +168,16 @@ def segment_axis(p1: PointP, p2: PointP) -> PELine:
     return PELine(midpoint(p1, p2), HyperbolicNumber(disp.y, disp.x))
 
 
-def _meet(a: PointP, e1: HyperbolicNumber, b: PointP, e2: HyperbolicNumber) -> PointP:
-    # where the line through a along e1 meets the line through b along e2;
-    # the directions need not be unit vectors, and their sense does not matter
+def line_intersection(l1: PELine, l2: PELine) -> PointP:
+    a, e1, e2 = l1.anchor, l1.direction, l2.direction
     den = _cross(e1, e2)
-    n = _euclid_norm(e1) * _euclid_norm(e2)
-    if abs(den) <= PARALLEL_TOL * n:
+    if abs(den) <= PARALLEL_TOL * (_euclid_norm(e1) * _euclid_norm(e2)):
         raise ParallelRays("lines are parallel")
-    t = _cross(displacement(a, b), e2) / den
+    t = _cross(displacement(a, l2.anchor), e2) / den
     x, y = a.x + t * e1.x, a.y + t * e1.y
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInput(f"the meet point ({x!r}, {y!r}) does not fit a double")
     return PointP(x, y)
-
-
-def line_intersection(l1: PELine, l2: PELine) -> PointP:
-    return _meet(l1.anchor, l1.direction, l2.anchor, l2.direction)
 
 
 def point_line_distance(p: PointP, line: PELine) -> tuple[float, PointP]:

@@ -20,15 +20,10 @@ from dataclasses import dataclass
 
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
-from .errors import (
-    DegenerateTriangle,
-    Inconsistent,
-    InvalidInput,
-    NullSide,
-)
-from .geometry import PARALLEL_TOL, Motion, PointP, _meet
+from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, ParallelRays
+from .geometry import PARALLEL_TOL, Motion, PointP
 # angle_between is re-exported: the public angle is reachable from this module too
-from .hypnum import HyperbolicNumber, _angle_of, angle_between, euler  # noqa: F401
+from .hypnum import _angle_of, angle_between, euler  # noqa: F401
 from .tol import is_null_xy, quadratic_form
 
 __all__ = [
@@ -268,33 +263,24 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
 
 
 def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triangle:
-    """The triangle with angles theta1, theta2 at the ends of a side of square
-    length D3.  Raises ParallelRays when the two rays never meet, Inconsistent
-    when they meet in a degenerate figure or on the wrong side: the right side
-    is sinh_e(theta1), sinh_e(theta2), sign(D3) sinh_e(theta1 + theta2) > 0."""
+    """The triangle with angles theta1, theta2 at the ends of side D3: d2 = d3 sinh_e(theta2) / S12
+    by the law of sines, S12 = sign(D3) sinh_e(theta1 + theta2).  Raises ParallelRays if S12 ~ 0,
+    then Inconsistent unless sinh_e(theta1), sinh_e(theta2), S12 > 0, or if the figure is flat."""
     theta1 = _as_angle("theta1", theta1)
     theta2 = _as_angle("theta2", theta2)
     D3 = _as_square("D3", D3)
     c1, s1 = _angle.cosh_sinh(theta1)
-    # the ray at p1 points at the unit-distance placement of p3; the one at p2
-    # turns the unit base direction by theta2, conjugated because that angle
-    # opens back toward p1 (which way a ray points does not move the meet)
-    p1, p2, q = _place(c1, s1, 1.0, D3)
-    base = HyperbolicNumber(1.0, 0.0) if D3 > 0 else HyperbolicNumber(0.0, -1.0)
-    e2 = euler(theta2)
-    p3 = _meet(p1, q, p2, base * e2.conjugate())
-    try:
-        tri = Triangle(p1, p2, p3)
-    except (NullSide, DegenerateTriangle) as exc:
-        raise Inconsistent("the rays meet in a degenerate configuration") from exc
-    # p3 = t q = p2 + u conj(e2), t = d3 s2 / S12, u = -d3 s1 / S12 with
-    # S12 = sign(D3) sinh_e(theta1 + theta2): the angle at p1 is theta1 iff
-    # t > 0, the one at p2 is theta2 iff u < 0, and p1 p2 p3 turns
-    # counterclockwise iff t s1 > 0
-    if not (s1 > 0.0 and e2.y > 0.0 and math.copysign(1.0, D3) * (c1 * e2.y + s1 * e2.x) > 0.0):
+    c2, s2 = _angle.cosh_sinh(theta2)
+    S12 = math.copysign(1.0, D3) * (c1 * s2 + s1 * c2)
+    if abs(S12) <= PARALLEL_TOL * (math.hypot(c1, s1) * math.hypot(c2, s2)):
+        raise ParallelRays("lines are parallel")
+    if not (s1 > 0.0 and s2 > 0.0 and S12 > 0.0):
         raise Inconsistent("the rays meet on the wrong side: not all of sinh_e(theta1), "
                            "sinh_e(theta2), sign(D3) sinh_e(theta1 + theta2) are > 0")
-    return tri
+    try:
+        return Triangle(*_place(c1, s1, math.sqrt(abs(D3)) * s2 / S12, D3))
+    except (NullSide, DegenerateTriangle) as exc:
+        raise Inconsistent("the rays meet in a degenerate configuration") from exc
 
 
 def solve_sas(theta1: ExtendedAngle, D2: float, D3: float) -> Triangle:

@@ -19,7 +19,7 @@ from pseudoeuclid.angle import (
     sinh_e,
     sub_angles,
 )
-from pseudoeuclid.errors import NullDirection, OverflowingAngle
+from pseudoeuclid.errors import InvalidInput, NullDirection, OverflowingAngle
 
 ALL_KS = (KleinIndex.P1, KleinIndex.H, KleinIndex.M1, KleinIndex.MH)
 
@@ -208,3 +208,15 @@ def test_circle_map_lands_on_unit_hyperbolas():
 def test_circle_map_pole():
     with pytest.raises(NullDirection):
         circle_map(math.pi / 4.0)
+
+
+@pytest.mark.parametrize("phi", [1e308, -1e308, math.inf, -math.inf, math.nan])
+def test_circle_map_refuses_phi_whose_double_is_not_finite(phi):
+    # math.cos(2 phi) itself raises a bare ValueError on inf and returns nan on nan
+    with pytest.raises(InvalidInput, match="2 \\* phi must be finite"):
+        circle_map(phi)
+
+
+def test_circle_map_just_inside_the_double_range():
+    x, y = circle_map(8e307)  # 2 phi = 1.6e308 is still a double
+    assert math.isfinite(x) and math.isfinite(y)

@@ -191,8 +191,10 @@ def test_unknown_k_label_exits_2(capsys):
     ["sample", "unit-hyperbolas", "--theta=0:nan:3"],
     ["sample", "unit-hyperbolas", "--theta=-1e308:1e308:3"],
     ["sample", "cosh-e", "--phi", "0:1:3", "--gap-eps", "nan"],
+    ["sample", "cosh-e", "--phi", "0:1e308:3"],
+    ["sample", "cosh-e", "--phi=-1e308:-8e307:2"],
 ], ids=["theta-inf", "theta-1e400", "range-inf", "range-nan", "range-width-overflow",
-        "gap-eps-nan"])
+        "gap-eps-nan", "phi-doubled-overflows", "phi-doubled-overflows-below"])
 def test_non_finite_numbers_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -1,5 +1,5 @@
-"""Angles, square sides, areas, solver vertices and solver verdicts checked
-against a high-precision mpmath oracle.
+"""Angles, square sides, areas, circumscribed hyperbolas, solver vertices and
+solver verdicts checked against a high-precision mpmath oracle.
 
 The oracle takes the exact double inputs, forms the invariant pair in
 extended precision and recovers the angle with atanh on whichever ratio is
@@ -26,6 +26,7 @@ from pseudoeuclid import angle
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh, from_point
 from pseudoeuclid.errors import NullDirection, PseudoEuclidError
 from pseudoeuclid.geometry import PARALLEL_TOL, PointP
+from pseudoeuclid.hyperbola import circumscribed
 from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.tol import is_null_xy, null_eps
 from pseudoeuclid.triangle import Triangle, realizability, solve_asa, solve_sas, solve_sss, solve_ssa
@@ -122,6 +123,41 @@ def test_square_sides_and_area_match_oracle(draw):
             worst_S = max(worst_S, float(abs(el.S - exact) / (U * cond)))
     assert worst_D <= 5.0
     assert worst_S <= 4.0
+
+
+def oracle_circle(tri: Triangle):
+    """The exact center and P of the hyperbola through the double vertices,
+    with the cond and size of the bound.  Put c = p1 + (a, b), e = p2 - p1 and
+    f = p3 - p1: the axis equations D(c, p2) = D(c, p1) and D(c, p3) = D(c, p1)
+    read 2 ex a - 2 ey b = D(e) and 2 fx a - 2 fy b = D(f), and P = a^2 - b^2.
+    cond = |e| |f| / |e x f| grows as the axes turn parallel, and size =
+    |e| + |f| + |c - p1| + |p1| is the magnitude of what enters them."""
+    (x1, y1), (x2, y2), (x3, y3) = ((mpmath.mpf(p.x), mpmath.mpf(p.y)) for p in tri.vertices)
+    ex, ey, fx, fy = x2 - x1, y2 - y1, x3 - x1, y3 - y1
+    De, Df, cross = ex * ex - ey * ey, fx * fx - fy * fy, ex * fy - ey * fx
+    a, b = (De * fy - ey * Df) / (2 * cross), (fx * De - ex * Df) / (2 * cross)
+    e, f = mpmath.hypot(ex, ey), mpmath.hypot(fx, fy)
+    size = e + f + mpmath.hypot(a, b) + mpmath.hypot(x1, y1)
+    return (x1 + a, y1 + b), a * a - b * b, e * f / abs(cross), size
+
+
+@pytest.mark.parametrize("draw", [random_triangle, needle_triangle], ids=["random", "needle"])
+def test_circumscribed_matches_oracle(draw):
+    # each figure scaled by 1e-6..1e6 on top of its own scale: the center is
+    # within 8 u size cond of the exact one and P within 8 u size^2 cond
+    rng = random.Random(37)
+    worst_center = worst_P = 0.0
+    with mpmath.workprec(PREC):
+        for _ in range(3000):
+            lam = 10.0 ** rng.uniform(-6.0, 6.0)
+            tri = Triangle(*(p * lam for p in draw(rng).vertices))
+            hyp = circumscribed(tri)
+            (cx, cy), P, cond, size = oracle_circle(tri)
+            err = mpmath.hypot(hyp.center.x - cx, hyp.center.y - cy)
+            worst_center = max(worst_center, float(err / (U * size * cond)))
+            worst_P = max(worst_P, float(abs(hyp.P - P) / (U * size * size * cond)))
+    assert worst_center <= 8.0
+    assert worst_P <= 8.0
 
 
 def canonical_triangle(rng: random.Random) -> Triangle:
@@ -465,6 +501,31 @@ def test_solver_verdicts_match_the_exact_data(unexplained):
     with mpmath.workprec(PREC):
         bad = [case for case in (unexplained(rng) for _ in range(3000)) if case]
     assert not bad, bad[:3]
+
+
+def test_realizability_is_within_the_filter_bound():
+    # the premise of the float filter in solve_sss: away from underflow the
+    # float Q of three doubles is within 8 u (|D1| + |D2| + |D3|)^2 of the
+    # exact Q.  Square sides of canonical triangles, sides a relative
+    # 1e-17..1e-1 from closing flat at scales 2^-400..2^400, and random ones
+    rng = random.Random(41)
+    worst = 0.0
+    for i in range(6000):
+        mode = i % 3
+        if mode == 0:
+            D = canonical_triangle(rng).elements().D
+        elif mode == 1:
+            d2, d3 = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+            edge = (d2 - d3) ** 2 if rng.random() < 0.5 else (d2 + d3) ** 2
+            nudge = 1.0 + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-17.0, -1.0)
+            flat = [edge * nudge, d2 * d2, d3 * d3]
+            k = rng.randint(-200, 200)
+            D = [rng.choice((-1.0, 1.0)) * math.ldexp(v, 2 * k) for v in rng.sample(flat, 3)]
+        else:
+            D = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)]
+        err = abs(Fraction(realizability(*D)) - realizability(*map(Fraction, D)))
+        worst = max(worst, float(err / (Fraction(U) * Fraction(sum(map(abs, D))) ** 2)))
+    assert worst <= 8.0
 
 
 def test_sss_refuses_exactly_where_q_is_not_positive():

@@ -15,6 +15,7 @@ from pseudoeuclid.errors import (
     PseudoEuclidError,
 )
 from pseudoeuclid.geometry import PointP
+from pseudoeuclid.hypnum import HyperbolicNumber
 from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.triangle import (
     Triangle,
@@ -158,18 +159,19 @@ def test_asa_negative_base():
     ((0.7, P1), (0.2, P1), 2.5,
      (0.0, 0.0, 1.5811388300841898, 0.0, 0.38924910478493036, 0.23524961620371418)),
     ((math.atanh(0.6), P1), (0.0, H), 25.0, (0.0, 0.0, 5.0, 0.0, 5.0, 3.0)),
-    ((-0.0, H), (0.4, P1), 3.0, (0.0, 0.0, 1.7320508075688772, 0.0, 0.0, 0.658090906909119)),
+    ((-0.0, H), (0.4, P1), 3.0, (0.0, 0.0, 1.7320508075688772, 0.0, -0.0, 0.658090906909119)),
     ((1.272, P1), (-0.563, M1), -11.28,
      (0.0, 0.0, 0.0, -3.358571124749333, 4.253939672062553, 4.979218705919342)),
     ((-0.62, M1), (-0.473, H), -42.12,
      (0.0, 0.0, 0.0, -6.48999229583518, 2.877942625954159, -5.221913016450694)),
     ((-0.0, H), (-0.2, M1), -3.0,
-     (0.0, 0.0, 0.0, -1.7320508075688772, 0.34186408278971075, 0.0)),
+     (0.0, 0.0, 0.0, -1.7320508075688772, 0.34186408278971075, -0.0)),
     ((0.4, H), (-0.4, H), -3.0, ParallelRays),
 ])
 def test_asa_vertices_bit_for_bit(theta1, theta2, D3, want):
-    # pinned outputs of the construction: any change in how the rays are
-    # formed or met shows up here, signed zeros included
+    # pinned outputs of the construction: any change in how d2 is formed or
+    # placed shows up here, signed zeros included.  theta1 = (-0.0, +h) has
+    # cosh_e = -0.0, which the placement d2 * (cosh_e, sinh_e) keeps
     args = (ExtendedAngle(*theta1), ExtendedAngle(*theta2), D3)
     if want is ParallelRays:
         with pytest.raises(ParallelRays):
@@ -179,6 +181,17 @@ def test_asa_vertices_bit_for_bit(theta1, theta2, D3, want):
     got = tuple(c for p in tri.vertices for c in (p.x, p.y))
     assert got == want
     assert [c.hex() for c in got] == [c.hex() for c in want]
+
+
+@pytest.mark.parametrize("theta2, D3", [((0.4, P1), 3.0), ((-0.2, M1), -3.0)])
+def test_asa_places_like_sas(theta2, D3):
+    # both solvers put p3 at d2 * (cosh_e, sinh_e) of theta1, so where the
+    # two agree on d2 their vertices agree bit for bit, signed zeros included
+    theta1 = ExtendedAngle(-0.0, H)
+    tri = solve_asa(theta1, ExtendedAngle(*theta2), D3)
+    same = solve_sas(theta1, tri.elements().D[1], D3)
+    assert [c.hex() for p in tri.vertices for c in (p.x, p.y)] == \
+        [c.hex() for p in same.vertices for c in (p.x, p.y)]
 
 
 def test_asa_roundtrips_random_triangles():
@@ -325,33 +338,50 @@ def test_sss_decides_realizability_by_the_exact_sign_of_q(D, realizable):
 
 def test_solvers_decide_without_building_elements(monkeypatch):
     # every verdict is a sign test on the data, taken before or without
-    # recomputing a candidate's elements
+    # recomputing a candidate's elements.  A solver builds the three vertices
+    # of each triangle it places and no other number: none at all when a sign
+    # test refuses, three when the placed figure is refused as flat
     def refuse(self):
         raise AssertionError("a solver built the elements of a candidate")
 
+    built = []
+    post_init = HyperbolicNumber.__post_init__
     monkeypatch.setattr(Triangle, "elements", refuse)
-    assert len(solve_ssa(A06, -9.0, 25.0)) == 2
-    assert len(solve_ssa(ExtendedAngle(0.4), -16.0, -9.0)) == 1
-    assert solve_ssa(ExtendedAngle(0.5), -9.0, 25.0) == []       # discriminant < 0
-    assert solve_ssa(ExtendedAngle(-0.5), -9.0, 25.0) == []      # sinh_e(theta1) < 0
-    assert solve_ssa(ExtendedAngle(0.5, M1), -9.0, 25.0) == []   # no root d2 > 0
-    solve_asa(ExtendedAngle(math.atanh(1.0 / 3.0)), ExtendedAngle(math.atanh(0.5)), 25.0)
-    with pytest.raises(Inconsistent, match="sinh_e"):
-        solve_asa(ExtendedAngle(-0.3), ExtendedAngle(0.5), 25.0)
-    with pytest.raises(ParallelRays):
-        solve_asa(A06, ExtendedAngle(-A06.theta, KleinIndex.P1), 25.0)
-    solve_sas(ExtendedAngle(math.log(2.0)), 16.0, 25.0)
-    with pytest.raises(Inconsistent, match="clockwise"):
-        solve_sas(ExtendedAngle(-math.log(2.0)), 16.0, 25.0)
-    with pytest.raises(Inconsistent, match="contradicts"):
-        solve_sas(ExtendedAngle(math.log(2.0)), -16.0, 25.0)
-    with pytest.raises(Inconsistent, match="flat"):
-        solve_sas(ExtendedAngle(1e-13, KleinIndex.P1), 1.0, 1.0)
-    solve_sss(-9.0, 16.0, 25.0)
-    with pytest.raises(Inconsistent, match="Q > 0"):
-        solve_sss(1.0, 1.0, 1.0)
-    with pytest.raises(Inconsistent, match="degenerate figure"):
-        solve_sss(0.9999999999999999, 4.0, 1.0)
+    monkeypatch.setattr(HyperbolicNumber, "__post_init__", lambda z: built.append(z) or post_init(z))
+
+    def solved(solver, *args) -> int:
+        del built[:]
+        got = solver(*args)
+        count = len(got) if isinstance(got, list) else 1
+        assert len(built) == 3 * count, (solver.__name__, args, len(built))
+        return count
+
+    def refused(numbers, exc, match, solver, *args) -> None:
+        del built[:]
+        with pytest.raises(exc, match=match):
+            solver(*args)
+        assert len(built) == numbers, (solver.__name__, args, len(built))
+
+    assert solved(solve_ssa, A06, -9.0, 25.0) == 2
+    assert solved(solve_ssa, ExtendedAngle(0.4), -16.0, -9.0) == 1
+    assert solved(solve_ssa, ExtendedAngle(0.5), -9.0, 25.0) == 0       # discriminant < 0
+    assert solved(solve_ssa, ExtendedAngle(-0.5), -9.0, 25.0) == 0      # sinh_e(theta1) < 0
+    assert solved(solve_ssa, ExtendedAngle(0.5, M1), -9.0, 25.0) == 0   # no root d2 > 0
+    solved(solve_asa, ExtendedAngle(math.atanh(1.0 / 3.0)), ExtendedAngle(math.atanh(0.5)), 25.0)
+    solved(solve_asa, ExtendedAngle(-0.0, H), ExtendedAngle(-0.2, M1), -3.0)
+    refused(0, Inconsistent, "wrong side", solve_asa, ExtendedAngle(-0.3), ExtendedAngle(0.5), 25.0)
+    refused(0, Inconsistent, "wrong side", solve_asa, A06, ExtendedAngle(-0.5), 25.0)
+    refused(0, Inconsistent, "wrong side", solve_asa, A06, ExtendedAngle(0.1, H), -25.0)
+    refused(0, ParallelRays, "parallel", solve_asa, A06, ExtendedAngle(-A06.theta, P1), 25.0)
+    refused(3, Inconsistent, "degenerate configuration", solve_asa,
+            ExtendedAngle(1e-13), ExtendedAngle(1.0), 1.0)
+    solved(solve_sas, ExtendedAngle(math.log(2.0)), 16.0, 25.0)
+    refused(0, Inconsistent, "clockwise", solve_sas, ExtendedAngle(-math.log(2.0)), 16.0, 25.0)
+    refused(0, Inconsistent, "contradicts", solve_sas, ExtendedAngle(math.log(2.0)), -16.0, 25.0)
+    refused(3, Inconsistent, "flat", solve_sas, ExtendedAngle(1e-13, P1), 1.0, 1.0)
+    solved(solve_sss, -9.0, 16.0, 25.0)
+    refused(0, Inconsistent, "Q > 0", solve_sss, 1.0, 1.0, 1.0)
+    refused(0, Inconsistent, "degenerate figure", solve_sss, 0.9999999999999999, 4.0, 1.0)
 
 
 def test_ssa_whose_placement_overflows_is_invalid_input():
