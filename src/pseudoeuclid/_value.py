@@ -1,0 +1,47 @@
+"""The base of the package's immutable records.
+
+Each record class lists its fields in ``_fields``, keeps them in
+``__slots__`` and sets them in its own ``__init__`` with
+``object.__setattr__``, then calls ``__post_init__`` where it has one.  The
+base compares, hashes, prints and pickles an instance by its field tuple and
+refuses every later assignment.
+"""
+from __future__ import annotations
+
+
+class _Value:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # restored field by field, without __init__: a second normalization of
+        # a PELine direction can move its last bit, and the copy must be equal
+        return _rebuild, (self.__class__, self._values())
+
+
+def _rebuild(cls: type, values: tuple) -> _Value:
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(obj, name, value)
+    return obj

@@ -14,9 +14,9 @@ theta = 1/2 log|u/w| in every sector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import _Value
 from .errors import InvalidInput, NullDirection, OverflowingAngle
 from .tol import is_null_xy, null_eps, rescaled
 
@@ -76,12 +76,15 @@ _KLEIN_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class ExtendedAngle:
+class ExtendedAngle(_Value):
     """An angle theta plus the Klein index of its sector."""
 
-    theta: float
-    k: KleinIndex = KleinIndex.P1
+    __slots__ = _fields = ("theta", "k")
+
+    def __init__(self, theta: float, k: KleinIndex = KleinIndex.P1) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.theta) is not float:

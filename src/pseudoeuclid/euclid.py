@@ -3,8 +3,8 @@ cross-check route for the pseudo-Euclidean results."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import _Value
 from .errors import ZeroVector
 from .geometry import PointP
 from .hypnum import HyperbolicNumber
@@ -12,11 +12,13 @@ from .hypnum import HyperbolicNumber
 __all__ = ["EuclideanAngleValues", "euclid_angle", "euclid_signed_area"]
 
 
-@dataclass(frozen=True)
-class EuclideanAngleValues:
-    cos: float
-    sin: float
-    radians: float
+class EuclideanAngleValues(_Value):
+    __slots__ = _fields = ("cos", "sin", "radians")
+
+    def __init__(self, cos: float, sin: float, radians: float) -> None:
+        object.__setattr__(self, "cos", cos)
+        object.__setattr__(self, "sin", sin)
+        object.__setattr__(self, "radians", radians)
 
 
 def euclid_angle(v1: HyperbolicNumber, v2: HyperbolicNumber) -> EuclideanAngleValues:

@@ -8,10 +8,10 @@ vertical lines need no special casing; slope/intercept is a derived view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import angle as _angle
+from ._value import _Value
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NullDirection, ParallelRays
 from .hypnum import HyperbolicNumber, euler
@@ -87,12 +87,15 @@ def _normalized_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
     return abs(_pseudo_dot(v1, v2)) / (_euclid_norm(v1) * _euclid_norm(v2))
 
 
-@dataclass(frozen=True)
-class PELine:
+class PELine(_Value):
     """Anchor plus unit direction; the direction is normalized on construction."""
 
-    anchor: PointP
-    direction: HyperbolicNumber
+    __slots__ = _fields = ("anchor", "direction")
+
+    def __init__(self, anchor: PointP, direction: HyperbolicNumber) -> None:
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "direction", direction)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         d = self.direction
@@ -191,16 +194,18 @@ def point_line_distance(p: PointP, line: PELine) -> tuple[float, PointP]:
     return square_distance(p, foot), foot
 
 
-@dataclass(frozen=True)
-class Motion:
+class Motion(_Value):
     """A pseudo-rotation followed by a translation: p -> p * euler(rotation) + offset.
 
     With rotation index +-1 this is a proper rigid motion of the plane (it
     preserves square distances, angles, and orientation).
     """
 
-    rotation: ExtendedAngle
-    offset: HyperbolicNumber
+    __slots__ = _fields = ("rotation", "offset")
+
+    def __init__(self, rotation: ExtendedAngle, offset: HyperbolicNumber) -> None:
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def identity(cls) -> "Motion":

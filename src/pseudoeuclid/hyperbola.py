@@ -10,15 +10,15 @@ arm index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import angle as _angle
+from ._value import _Value
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection
 from .geometry import PELine, PointP, _normalized_dot, displacement, line_intersection, midpoint, segment_axis
 from .hypnum import HyperbolicNumber, angle_between, euler
-from .tol import quadratic_form
+from .tol import quadratic_form, rescaled
 
 __all__ = ["Chord", "ChordClass", "EquilateralHyperbola", "circumscribed"]
 
@@ -33,18 +33,23 @@ class ChordClass(Enum):
     INTERNAL = "internal"  # endpoints on opposite arms
 
 
-@dataclass(frozen=True)
-class Chord:
-    a: PointP
-    b: PointP
-    chord_class: ChordClass
-    D: float
+class Chord(_Value):
+    __slots__ = _fields = ("a", "b", "chord_class", "D")
+
+    def __init__(self, a: PointP, b: PointP, chord_class: ChordClass, D: float) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "chord_class", chord_class)
+        object.__setattr__(self, "D", D)
 
 
-@dataclass(frozen=True)
-class EquilateralHyperbola:
-    center: PointP
-    P: float
+class EquilateralHyperbola(_Value):
+    __slots__ = _fields = ("center", "P")
+
+    def __init__(self, center: PointP, P: float) -> None:
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "P", P)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "P", float(self.P))
@@ -196,5 +201,18 @@ def circumscribed(tri) -> EquilateralHyperbola:
     axis12 = segment_axis(tri.p1, tri.p2)
     axis13 = segment_axis(tri.p1, tri.p3)
     center = line_intersection(axis12, axis13)
-    # a P that does not fit a double is refused by the constructor as InvalidInput
-    return EquilateralHyperbola(center, quadratic_form(tri.p1.x - center.x, tri.p1.y - center.y))
+    dx, dy = tri.p1.x - center.x, tri.p1.y - center.y
+    P = quadratic_form(dx, dy)
+    if not math.isfinite(P):
+        # a square overflowed: form P on the difference rescaled by a power of
+        # two, as HyperbolicNumber.module() does, and on the difference of the
+        # halves where the difference itself overflowed, as segment_kind does
+        halved = 0
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            dx, dy, halved = tri.p1.x / 2.0 - center.x / 2.0, tri.p1.y / 2.0 - center.y / 2.0, 1
+        x, y, s = rescaled(dx, dy)
+        try:
+            P = math.ldexp(quadratic_form(x, y), 2 * (halved - s))
+        except OverflowError as exc:
+            raise InvalidInput("the square radius P does not fit a double") from exc
+    return EquilateralHyperbola(center, P)

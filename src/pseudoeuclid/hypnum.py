@@ -8,11 +8,11 @@ four Klein units, and multiplication adds extended angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
 from . import angle as _angle
+from ._value import _Value
 from .angle import ExtendedAngle
 from .errors import InvalidInput, NonPositiveRho, NullDirection, NullDivisor
 from .tol import is_null_xy, quadratic_form, rescaled
@@ -35,10 +35,13 @@ class Sector(Enum):
     ORIGIN = "origin"
 
 
-@dataclass(frozen=True)
-class HyperbolicNumber:
-    x: float
-    y: float
+class HyperbolicNumber(_Value):
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # an exact float is kept as is: writing every value back cost more than the check

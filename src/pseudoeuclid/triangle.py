@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from . import angle as _angle
+from ._value import _Value
 from .angle import ExtendedAngle, KleinIndex
 from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, ParallelRays
 from .geometry import PARALLEL_TOL, Motion, PointP
@@ -47,21 +47,29 @@ def _worst(residuals: Iterable[float]) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class TriangleElements:
+class TriangleElements(_Value):
     """The six elements plus area: square sides D, moduli d, vertex angles, S."""
 
-    D: tuple[float, float, float]
-    d: tuple[float, float, float]
-    angles: tuple[ExtendedAngle, ExtendedAngle, ExtendedAngle]
-    S: float
+    __slots__ = _fields = ("D", "d", "angles", "S")
+
+    def __init__(self, D: tuple[float, float, float], d: tuple[float, float, float],
+                 angles: tuple[ExtendedAngle, ExtendedAngle, ExtendedAngle], S: float) -> None:
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "S", S)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    p1: PointP
-    p2: PointP
-    p3: PointP
+class Triangle(_Value):
+    # _elements, the cache of elements(), is a slot but not a field
+    __slots__ = ("p1", "p2", "p3", "_elements")
+    _fields = ("p1", "p2", "p3")
+
+    def __init__(self, p1: PointP, p2: PointP, p3: PointP) -> None:
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+        object.__setattr__(self, "p3", p3)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         p1, p2, p3 = self.p1, self.p2, self.p3
@@ -105,10 +113,10 @@ class Triangle:
         null tolerance.
 
         The record is computed on the first call and the same immutable object
-        is returned on every later one.  It is kept outside the dataclass
-        fields: equality, hashing and repr see only the vertices.
+        is returned on every later one.  It is kept outside the fields:
+        equality, hashing and repr see only the vertices.
         """
-        el = self.__dict__.get("_elements")
+        el = getattr(self, "_elements", None)
         if el is None:
             p1, p2, p3 = self.p1, self.p2, self.p3
             # six rays, each its own difference: negating one would flip a zero's sign

@@ -1,16 +1,19 @@
 """The package root re-exports exactly what ``__all__`` lists, each public name is
 declared once, in the ``__all__`` of the module that defines it, nothing is defined
-unread, and there is one type per shape of record."""
+unread, there is one type per shape of record, and importing the CLI loads neither
+``dataclasses`` nor ``inspect``."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import pseudoeuclid
+from pseudoeuclid._value import _Value
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = pathlib.Path(pseudoeuclid.__file__).parent
@@ -84,16 +87,30 @@ def test_every_constant_is_read():
     assert constants <= read, sorted(constants - read)
 
 
-def test_no_two_dataclasses_share_their_fields():
+def test_no_two_value_classes_share_their_fields():
     # two classes with the same fields are one type kept twice, with hand
     # conversions between them
     classes = {v for mod in vars(pseudoeuclid).values() if isinstance(mod, types.ModuleType)
-               for v in vars(mod).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+               for v in vars(mod).values() if isinstance(v, type) and issubclass(v, _Value)
+               and v is not _Value}
+    assert classes == set(_Value.__subclasses__())
+    assert len(classes) == 9
     by_fields: dict[tuple, list[str]] = {}
     for cls in classes:
-        by_fields.setdefault(tuple(f.name for f in dataclasses.fields(cls)), []).append(cls.__name__)
+        assert cls._fields and set(cls._fields) <= set(cls.__slots__), cls
+        by_fields.setdefault(cls._fields, []).append(cls.__name__)
     assert len(by_fields) >= 8
     assert all(len(names) == 1 for names in by_fields.values()), by_fields
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # importing either costs every CLI process start-up time; only a fresh
+    # interpreter shows what importing the CLI pulls in
+    code = ("import sys, pseudoeuclid.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_no_import_inside_a_function():

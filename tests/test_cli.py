@@ -300,6 +300,15 @@ def test_circumhyperbola_that_does_not_fit_a_double_exits_2(capsys, vertices):
     assert err.startswith("error: ")
 
 
+def test_circumhyperbola_names_a_square_radius_that_does_not_fit_a_double(capsys):
+    code, out, err = run_cli(capsys, "circumhyperbola", "--vertices", "1.7e+308,-1e+308",
+                             "-4.975375852650895e+302,-1456046219969714.5",
+                             "-348808.3656137566,1.75297339967585")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the square radius P does not fit a double\n"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),

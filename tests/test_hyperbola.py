@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -269,6 +270,32 @@ def test_circumscribed_fixture():
     assert hyp.kind == "second"
     for v in (P(0, 0), P(5, 0), P(5, 3)):
         assert square_distance(hyp.center, v) == pytest.approx(4.0, rel=1e-12)
+
+
+# a triangle whose circumscribed hyperbola has P = -8.9e615 (by mpmath), beyond a double
+OVERFLOWING_P = (P(1.7e308, -1e308), P(-4.975375852650895e302, -1456046219969714.5),
+                 P(-348808.3656137566, 1.75297339967585))
+
+
+def test_circumscribed_refuses_a_square_radius_that_does_not_fit_a_double():
+    with pytest.raises(InvalidInput, match="^the square radius P does not fit a double$"):
+        circumscribed(Triangle(*OVERFLOWING_P))
+
+
+@pytest.mark.parametrize("t1, t2, t3", [(3.0, 3.3, 2.7), (3.0, 2.8, 3.2), (-3.0, -3.3, -2.6)])
+def test_circumscribed_square_radius_whose_squares_overflow(t1, t2, t3):
+    # three points of the hyperbola with P = 4e306 around a center 2e154 from
+    # p1: each square of x - xc, y - yc overflows, their difference fits
+    r = 2e153
+    cx, cy = -r * math.cosh(t1), -r * math.sinh(t1)
+    tri = Triangle(P(0.0, 0.0), *(P(cx + r * math.cosh(t), cy + r * math.sinh(t)) for t in (t2, t3)))
+    hyp = circumscribed(tri)
+    dx, dy = tri.p1.x - hyp.center.x, tri.p1.y - hyp.center.y
+    assert dx * dx == dy * dy == math.inf
+    # against the exact value on the float center, within the rounding of x^2 - y^2
+    fx, fy = Fraction(dx), Fraction(dy)
+    assert abs(Fraction(hyp.P) - (fx * fx - fy * fy)) <= 8 * Fraction(2) ** -53 * (fx * fx + fy * fy)
+    assert hyp.P == pytest.approx(r * r, rel=1e-10)
 
 
 def test_circumscribed_formulas():
