@@ -15,8 +15,8 @@ from enum import Enum
 from . import angle as _angle
 from ._value import _Value
 from .angle import ExtendedAngle, KleinIndex
-from .errors import InvalidInput, NotOnHyperbola, NullDirection
-from .geometry import PELine, PointP, _normalized_dot, displacement, line_intersection, midpoint, segment_axis
+from .errors import InvalidInput, NotOnHyperbola, NullDirection, ParallelRays
+from .geometry import PARALLEL_TOL, PELine, PointP, _normalized_dot, displacement, midpoint
 from .hypnum import HyperbolicNumber, angle_between, euler
 from .tol import quadratic_form, rescaled
 
@@ -195,24 +195,34 @@ class EquilateralHyperbola(_Value):
 
 
 def circumscribed(tri) -> EquilateralHyperbola:
-    """The unique equilateral hyperbola through the three vertices of a
-    triangle: its center is the meet of two segment axes, and its radius
-    satisfies p = d1 d2 d3 / (4S) and P = -D1 D2 D3 / (16 S^2)."""
-    axis12 = segment_axis(tri.p1, tri.p2)
-    axis13 = segment_axis(tri.p1, tri.p3)
-    center = line_intersection(axis12, axis13)
-    dx, dy = tri.p1.x - center.x, tri.p1.y - center.y
-    P = quadratic_form(dx, dy)
-    if not math.isfinite(P):
-        # a square overflowed: form P on the difference rescaled by a power of
-        # two, as HyperbolicNumber.module() does, and on the difference of the
-        # halves where the difference itself overflowed, as segment_kind does
-        halved = 0
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            dx, dy, halved = tri.p1.x / 2.0 - center.x / 2.0, tri.p1.y / 2.0 - center.y / 2.0, 1
-        x, y, s = rescaled(dx, dy)
-        try:
-            P = math.ldexp(quadratic_form(x, y), 2 * (halved - s))
-        except OverflowError as exc:
-            raise InvalidInput("the square radius P does not fit a double") from exc
+    """The unique equilateral hyperbola through the vertices of a triangle:
+    with e = p2 - p1, f = p3 - p1 and x = ex fy - ey fx its center is p1 + (a, b),
+    a = (D(e) fy - ey D(f)) / 2x and b = (fx D(e) - ex D(f)) / 2x, and P = a^2 - b^2
+    = -D1 D2 D3 / (16 S^2), all formed on e and f rescaled by powers of two (README
+    Conventions).  Raises ParallelRays if |x| <= PARALLEL_TOL |e| |f|, and
+    InvalidInput if P or the center does not fit a double."""
+    p1 = tri.p1
+    ex, ey, se = rescaled(tri.p2.x - p1.x, tri.p2.y - p1.y)
+    fx, fy, sf = rescaled(tri.p3.x - p1.x, tri.p3.y - p1.y)
+    cross, s = ex * fy - ey * fx, min(se, sf)
+    if abs(cross) <= PARALLEL_TOL * math.hypot(ex, ey) * math.hypot(fx, fy):
+        raise ParallelRays("lines are parallel")
+    # each term on the scale 2^s of the longer of e and f
+    De, Df = quadratic_form(ex, ey), quadratic_form(fx, fy)
+    a = (math.ldexp(De * fy, s - se) - math.ldexp(ey * Df, s - sf)) / (2.0 * cross)
+    b = (math.ldexp(fx * De, s - se) - math.ldexp(ex * Df, s - sf)) / (2.0 * cross)
+    scaled_P = quadratic_form(a, b)
+    try:
+        P = math.ldexp(scaled_P, -2 * s)
+    except OverflowError:
+        P = math.inf
+    # beyond the largest double, or nonzero and below half the least one
+    if P == math.inf or P == 0.0 != scaled_P:
+        raise InvalidInput("the square radius P does not fit a double")
+    # a nonzero P that fits bounds |c - p1|^2 by 2^54 |P|, so only where P
+    # rounds to 0 can the center leave the doubles
+    try:
+        center = PointP(p1.x + math.ldexp(a, -s), p1.y + math.ldexp(b, -s))
+    except (OverflowError, ValueError) as exc:
+        raise InvalidInput(f"the center p1 + 2**{-s} * ({a!r}, {b!r}) does not fit a double") from exc
     return EquilateralHyperbola(center, P)

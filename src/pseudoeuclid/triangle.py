@@ -24,7 +24,7 @@ from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, Pa
 from .geometry import PARALLEL_TOL, Motion, PointP
 # angle_between is re-exported: the public angle is reachable from this module too
 from .hypnum import _angle_of, angle_between, euler  # noqa: F401
-from .tol import is_null_xy, quadratic_form
+from .tol import is_null_xy, quadratic_form, rescaled
 
 __all__ = [
     "Triangle", "TriangleElements", "realizability", "solve_asa", "solve_sas", "solve_ssa",
@@ -82,6 +82,11 @@ class Triangle(_Value):
                 raise NullSide(f"side {name} lies on a null line")
         (x1, y1), _, (x2, y2) = sides
         two_s = self._two_s(p1, p2, p3)
+        if two_s != two_s:
+            # the shoelace products overflowed to inf - inf; the sign and the
+            # test below do not change when each side is scaled by a power of two
+            (x1, y1, _), (x2, y2, _) = rescaled(x1, y1), rescaled(x2, y2)
+            two_s = x1 * y2 - y1 * x2
         scale = math.hypot(x1, y1) * math.hypot(x2, y2)
         # degenerate exactly when sides p1p2 and p1p3 are parallel
         if abs(two_s) <= PARALLEL_TOL * scale:

@@ -3,14 +3,18 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, sinh_e
 from pseudoeuclid.errors import (
     InvalidInput,
     NotOnHyperbola,
     NullDirection,
+    PseudoEuclidError,
 )
 from pseudoeuclid.geometry import PointP, square_distance
 from pseudoeuclid.hyperbola import ChordClass, EquilateralHyperbola, circumscribed
@@ -296,6 +300,60 @@ def test_circumscribed_square_radius_whose_squares_overflow(t1, t2, t3):
     fx, fy = Fraction(dx), Fraction(dy)
     assert abs(Fraction(hyp.P) - (fx * fx - fy * fy)) <= 8 * Fraction(2) ** -53 * (fx * fx + fy * fy)
     assert hyp.P == pytest.approx(r * r, rel=1e-10)
+
+
+# a triangle whose exact P is nonzero and below half the least subnormal, 2^-1075
+ROUNDING_TO_ZERO_P = (P(-1.015216675349351e-161, 5.970810434352393e-162),
+                      P(-6.021005074866499e-164, -5.404469890983704e-162),
+                      P(3.222290575998227e-163, -2.1894739484764077e-162))
+
+
+def test_circumscribed_refuses_a_square_radius_that_rounds_to_zero():
+    # the exact P of the double vertices, from the closed form relative to p1
+    (x1, y1), (x2, y2), (x3, y3) = ((Fraction(p.x), Fraction(p.y)) for p in ROUNDING_TO_ZERO_P)
+    ex, ey, fx, fy = x2 - x1, y2 - y1, x3 - x1, y3 - y1
+    De, Df, cross = ex * ex - ey * ey, fx * fx - fy * fy, ex * fy - ey * fx
+    a, b = (De * fy - ey * Df) / (2 * cross), (fx * De - ex * Df) / (2 * cross)
+    assert 0 < abs(a * a - b * b) < Fraction(2) ** -1075
+    with pytest.raises(InvalidInput, match="^the square radius P does not fit a double$"):
+        circumscribed(Triangle(*ROUNDING_TO_ZERO_P))
+
+
+def test_circumscribed_names_a_center_that_does_not_fit_a_double():
+    # a stand-in for a triangle whose side p1p2 lies on a null line, which
+    # Triangle refuses: the float P is exactly 0, and the center p1 + 2^1022
+    # (1, 1) lies beyond the largest double
+    p1 = P(-2.0 ** 1020, 1.5 * 2.0 ** 1023)
+    tri = SimpleNamespace(p1=p1, p2=p1 + P(2.0 ** 1019, 2.0 ** 1019), p3=p1 + P(2.0 ** 1023, 0.0))
+    with pytest.raises(InvalidInput, match=r"^the center p1 \+ 2\*\*1024 \* \(0\.25, 0\.25\) "
+                                           "does not fit a double$"):
+        circumscribed(tri)
+
+
+def test_circumscribed_builds_its_center_and_no_other_number(monkeypatch):
+    tri = Triangle(P(0, 0), P(5, 0), P(5, 3))
+    # a point is the hyperbolic number with its coordinates: this counts every number
+    built = []
+    post_init = PointP.__post_init__
+    monkeypatch.setattr(PointP, "__post_init__", lambda z: built.append(z) or post_init(z))
+    hyp = circumscribed(tri)
+    assert len(built) == 1 and built[0] is hyp.center
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-480, 480))
+def test_circumscribed_scales_by_powers_of_two_bit_for_bit(seed, k):
+    # a triangle moved by up to 1e6 and then scaled by 2^k, which is exact
+    rng = random.Random(seed)
+    ox, oy = (10.0 ** rng.uniform(-3.0, 6.0) * rng.choice((-1.0, 1.0)) for _ in range(2))
+    tri = Triangle(*(P(p.x + ox, p.y + oy) for p in random_triangle(rng).vertices))
+    try:
+        scaled = Triangle(*(P(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in tri.vertices))
+    except PseudoEuclidError:
+        return
+    hyp, big = circumscribed(tri), circumscribed(scaled)
+    want = (math.ldexp(hyp.center.x, k), math.ldexp(hyp.center.y, k), math.ldexp(hyp.P, 2 * k))
+    assert [v.hex() for v in (big.center.x, big.center.y, big.P)] == [v.hex() for v in want]
 
 
 def test_circumscribed_formulas():

@@ -160,6 +160,31 @@ def test_circumscribed_matches_oracle(draw):
     assert worst_P <= 8.0
 
 
+@pytest.mark.parametrize("draw", [random_triangle, needle_triangle], ids=["random", "needle"])
+def test_circumscribed_square_radius_does_not_grow_with_the_offset(draw):
+    # each figure moved 1..1e8 times its size: P is within 4 u (|e| + |f| +
+    # |c - p1|)^2 cond of the exact one, a bound that does not see the offset
+    rng = random.Random(43)
+    worst = 0.0
+    with mpmath.workprec(PREC):
+        for _ in range(2000):
+            tri = draw(rng)
+            size = max(math.hypot(p.x - tri.p1.x, p.y - tri.p1.y) for p in tri.vertices)
+            offset, phi = size * 10.0 ** rng.uniform(0.0, 8.0), rng.uniform(0.0, 2.0 * math.pi)
+            shift = PointP(offset * math.cos(phi), offset * math.sin(phi))
+            try:
+                tri = Triangle(*(p + shift for p in tri.vertices))
+            except PseudoEuclidError:
+                continue  # the move rounded the figure onto a null side or flat
+            hyp = circumscribed(tri)
+            (cx, cy), P, cond, _ = oracle_circle(tri)
+            (x1, y1), (x2, y2), (x3, y3) = ((mpmath.mpf(p.x), mpmath.mpf(p.y)) for p in tri.vertices)
+            reach = (mpmath.hypot(x2 - x1, y2 - y1) + mpmath.hypot(x3 - x1, y3 - y1)
+                     + mpmath.hypot(cx - x1, cy - y1))
+            worst = max(worst, float(abs(hyp.P - P) / (U * reach * reach * cond)))
+    assert worst <= 4.0
+
+
 def canonical_triangle(rng: random.Random) -> Triangle:
     """p1 at the origin, p2 on either axis and p3 at d2 * (cosh_e, sinh_e) of
     (theta, k): theta uniform over +-14 (up to where directions turn null) or

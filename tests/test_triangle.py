@@ -97,6 +97,26 @@ def test_degenerate_rejected():
         Triangle(P(0, 0), P(2, 1), P(4, 2))
 
 
+def test_a_clockwise_triple_whose_shoelace_sum_is_nan_is_stored_counterclockwise():
+    # the shoelace products overflow to -inf, -inf and +inf; the exact 2S is
+    # -5.0e610 (mpmath), so the triple is clockwise
+    p1, p2, p3 = (P(1.7e308, -1e308), P(-4.975375852650895e302, -1456046219969714.5),
+                  P(-348808.3656137566, 1.75297339967585))
+    assert math.isnan(Triangle._two_s(p1, p2, p3))
+    tri = Triangle(p1, p2, p3)
+    assert tri.vertices == (p1, p3, p2)
+    assert all(sinh_e(a) > 0 for a in tri.elements().angles)
+
+
+def test_a_collinear_triple_whose_shoelace_sum_is_nan_is_refused():
+    x = 1.5392735181785487e+293
+    vertices = (P(x, 3.7482917678723244e+54), P(x, -3.567478831146048e+54),
+                P(x, 2.0027936423369135e+54))
+    assert math.isnan(Triangle._two_s(*vertices))
+    with pytest.raises(DegenerateTriangle):
+        Triangle(*vertices)
+
+
 def test_law_of_sines(tri):
     el = tri.elements()
     ratios = [sinh_e(el.angles[i]) / el.d[i] for i in range(3)]
