@@ -78,6 +78,12 @@ def _cross(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
     return v1.x * v2.y - v1.y * v2.x
 
 
+def _parallel(cross: float, ax: float, ay: float, bx: float, by: float) -> bool:
+    """The one flatness test: (ax, ay) and (bx, by), whose cross is ``cross``,
+    are parallel when |cross| <= PARALLEL_TOL |a| |b|."""
+    return abs(cross) <= PARALLEL_TOL * (math.hypot(ax, ay) * math.hypot(bx, by))
+
+
 def _pseudo_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
     return v1.x * v2.x - v1.y * v2.y
 
@@ -174,7 +180,7 @@ def segment_axis(p1: PointP, p2: PointP) -> PELine:
 def line_intersection(l1: PELine, l2: PELine) -> PointP:
     a, e1, e2 = l1.anchor, l1.direction, l2.direction
     den = _cross(e1, e2)
-    if abs(den) <= PARALLEL_TOL * (_euclid_norm(e1) * _euclid_norm(e2)):
+    if _parallel(den, e1.x, e1.y, e2.x, e2.y):
         raise ParallelRays("lines are parallel")
     t = _cross(displacement(a, l2.anchor), e2) / den
     x, y = a.x + t * e1.x, a.y + t * e1.y

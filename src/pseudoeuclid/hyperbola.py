@@ -16,7 +16,7 @@ from . import angle as _angle
 from ._value import _Value
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection, ParallelRays
-from .geometry import PARALLEL_TOL, PELine, PointP, _normalized_dot, displacement, midpoint
+from .geometry import PELine, PointP, _normalized_dot, _parallel, displacement, midpoint
 from .hypnum import HyperbolicNumber, angle_between, euler
 from .tol import quadratic_form, rescaled
 
@@ -205,7 +205,7 @@ def circumscribed(tri) -> EquilateralHyperbola:
     ex, ey, se = rescaled(tri.p2.x - p1.x, tri.p2.y - p1.y)
     fx, fy, sf = rescaled(tri.p3.x - p1.x, tri.p3.y - p1.y)
     cross, s = ex * fy - ey * fx, min(se, sf)
-    if abs(cross) <= PARALLEL_TOL * math.hypot(ex, ey) * math.hypot(fx, fy):
+    if _parallel(cross, ex, ey, fx, fy):
         raise ParallelRays("lines are parallel")
     # each term on the scale 2^s of the longer of e and f
     De, Df = quadratic_form(ex, ey), quadratic_form(fx, fy)

@@ -63,9 +63,8 @@ def random_triangle(rng: random.Random) -> Triangle:
         if any(abs(quadratic_form(dx, dy)) < TRIANGLE_MARGIN * (dx * dx + dy * dy)
                for dx, dy in vecs):
             continue
-        two_s = Triangle._two_s(*pts)
-        e1, e3 = vecs[0], vecs[2]
-        if abs(two_s) < TRIANGLE_MARGIN * math.hypot(*e1) * math.hypot(*e3):
+        (x1, y1), _, (x3, y3) = vecs
+        if abs(x1 * y3 - y1 * x3) < TRIANGLE_MARGIN * math.hypot(x1, y1) * math.hypot(x3, y3):
             continue
         try:
             return Triangle(*pts)

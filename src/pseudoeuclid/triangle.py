@@ -21,7 +21,7 @@ from . import angle as _angle
 from ._value import _Value
 from .angle import ExtendedAngle, KleinIndex
 from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, ParallelRays
-from .geometry import PARALLEL_TOL, Motion, PointP
+from .geometry import Motion, PointP, _parallel
 # angle_between is re-exported: the public angle is reachable from this module too
 from .hypnum import _angle_of, angle_between, euler  # noqa: F401
 from .tol import is_null_xy, quadratic_form, rescaled
@@ -80,32 +80,28 @@ class Triangle(_Value):
                 raise ValueError(f"components must be finite, got ({dx!r}, {dy!r})")
             if is_null_xy(dx, dy):
                 raise NullSide(f"side {name} lies on a null line")
-        (x1, y1), _, (x2, y2) = sides
-        two_s = self._two_s(p1, p2, p3)
-        if two_s != two_s:
-            # the shoelace products overflowed to inf - inf; the sign and the
-            # test below do not change when each side is scaled by a power of two
-            (x1, y1, _), (x2, y2, _) = rescaled(x1, y1), rescaled(x2, y2)
-            two_s = x1 * y2 - y1 * x2
-        scale = math.hypot(x1, y1) * math.hypot(x2, y2)
-        # degenerate exactly when sides p1p2 and p1p3 are parallel
-        if abs(two_s) <= PARALLEL_TOL * scale:
+        # 2S is the cross of sides p1p2 and p1p3, as in signed_area()
+        (ex, ey), _, (fx, fy) = sides
+        two_s = ex * fy - ey * fx
+        if not math.isfinite(two_s):
+            # a product overflowed; the sign and the test below do not change
+            # when each side is scaled by a power of two
+            (ex, ey, _), (fx, fy, _) = rescaled(ex, ey), rescaled(fx, fy)
+            two_s = ex * fy - ey * fx
+        if _parallel(two_s, ex, ey, fx, fy):
             raise DegenerateTriangle("vertices are collinear")
         if two_s < 0.0:
             object.__setattr__(self, "p2", p3)
             object.__setattr__(self, "p3", p2)
-
-    @staticmethod
-    def _two_s(p1: PointP, p2: PointP, p3: PointP) -> float:
-        return p1.x * (p2.y - p3.y) + p2.x * (p3.y - p1.y) + p3.x * (p1.y - p2.y)
 
     @property
     def vertices(self) -> tuple[PointP, PointP, PointP]:
         return (self.p1, self.p2, self.p3)
 
     def signed_area(self) -> float:
-        """Half the shoelace sum; always positive after normalization."""
-        return 0.5 * self._two_s(self.p1, self.p2, self.p3)
+        """Half the cross of p2 - p1 and p3 - p1; always positive after normalization."""
+        p1, p2, p3 = self.p1, self.p2, self.p3
+        return 0.5 * ((p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x))
 
     def elements(self) -> TriangleElements:
         """Square sides, moduli, and the three extended vertex angles.
@@ -285,7 +281,7 @@ def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triang
     c1, s1 = _angle.cosh_sinh(theta1)
     c2, s2 = _angle.cosh_sinh(theta2)
     S12 = math.copysign(1.0, D3) * (c1 * s2 + s1 * c2)
-    if abs(S12) <= PARALLEL_TOL * (math.hypot(c1, s1) * math.hypot(c2, s2)):
+    if _parallel(S12, c1, s1, c2, s2):
         raise ParallelRays("lines are parallel")
     if not (s1 > 0.0 and s2 > 0.0 and S12 > 0.0):
         raise Inconsistent("the rays meet on the wrong side: not all of sinh_e(theta1), "

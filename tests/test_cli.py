@@ -309,6 +309,15 @@ def test_circumhyperbola_names_a_square_radius_that_does_not_fit_a_double(capsys
     assert err == "error: the square radius P does not fit a double\n"
 
 
+def test_circumhyperbola_of_a_huge_triangle_names_its_square_radius(capsys):
+    # the triangle constructs; its P = 4e400 is what does not fit
+    code, out, err = run_cli(capsys, "circumhyperbola", "--vertices", "0,0", "5e+200,0",
+                             "5e+200,3e+200")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the square radius P does not fit a double\n"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "--output", str(target),

@@ -1,5 +1,6 @@
-"""Angles, square sides, areas, circumscribed hyperbolas, solver vertices and
-solver verdicts checked against a high-precision mpmath oracle.
+"""Angles, extended cosh/sinh pairs, square sides, areas, circumscribed
+hyperbolas, solver vertices and solver verdicts checked against a
+high-precision mpmath oracle.
 
 The oracle takes the exact double inputs, forms the invariant pair in
 extended precision and recovers the angle with atanh on whichever ratio is
@@ -21,9 +22,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoeuclid import angle
-from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh, from_point
+from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex, cosh_sinh, from_point
 from pseudoeuclid.errors import NullDirection, PseudoEuclidError
 from pseudoeuclid.geometry import PARALLEL_TOL, PointP
 from pseudoeuclid.hyperbola import circumscribed
@@ -70,6 +73,43 @@ def test_from_point_matches_oracle():
             checked += 1
     assert checked > 3000
     assert worst <= 1e-14
+
+
+@given(st.floats(-THETA_MAX, THETA_MAX), st.sampled_from(ALL_KS))
+@settings(max_examples=1000, deadline=None)
+def test_cosh_sinh_is_within_4_u_of_the_oracle(theta, k):
+    # every index acts on (cosh, sinh) by signs and a swap, so each component
+    # is one correctly rounded function away from the exact value
+    with mpmath.workprec(PREC):
+        t = mpmath.mpf(theta)
+        ux, uy = k.unit
+        c, s = mpmath.cosh(t), mpmath.sinh(t)
+        wants = (ux * c + uy * s, ux * s + uy * c)
+        for got, want in zip(cosh_sinh(ExtendedAngle(theta, k)), wants):
+            if want == 0:
+                assert got == 0.0
+            else:
+                assert abs(got - want) <= 4 * U * abs(want)
+
+
+@given(st.floats(math.log(1e-13), math.log(1e-1)), st.booleans(), st.sampled_from((-1.0, 1.0)),
+       st.sampled_from((-1.0, 1.0)), st.integers(-500, 500))
+@settings(max_examples=1000, deadline=None)
+def test_from_point_near_the_null_lines_matches_oracle(log_delta, swap, sx, sy, k):
+    # the direction (1, 1 - delta), delta log-uniform in 1e-13..1e-1, in every
+    # sign and swap image and scaled by 2^k: refused exactly where the null test
+    # says so, and elsewhere within the bound of test_from_point_matches_oracle
+    a, b = math.ldexp(sx, k), math.ldexp(sy * (1.0 - math.exp(log_delta)), k)
+    x, y = (b, a) if swap else (a, b)
+    if is_null_xy(x, y):
+        with pytest.raises(NullDirection):
+            from_point(x, y)
+        return
+    got = from_point(x, y)
+    with mpmath.workprec(PREC):
+        want, want_k = oracle_angle(mpmath.mpf(x), mpmath.mpf(y))
+        assert got.k is want_k
+        assert abs(got.theta - want) <= 1e-14 * abs(want)
 
 
 def test_triangle_angles_match_oracle():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pseudoeuclid import angle as _angle
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_e, sinh_e
 from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
+from pseudoeuclid.euclid import euclid_signed_area
 from pseudoeuclid.geometry import Motion, PointP, displacement, square_distance
 from pseudoeuclid.hypnum import HyperbolicNumber, angle_between
 from pseudoeuclid.tol import null_eps, set_null_eps
@@ -97,24 +98,55 @@ def test_degenerate_rejected():
         Triangle(P(0, 0), P(2, 1), P(4, 2))
 
 
-def test_a_clockwise_triple_whose_shoelace_sum_is_nan_is_stored_counterclockwise():
-    # the shoelace products overflow to -inf, -inf and +inf; the exact 2S is
-    # -5.0e610 (mpmath), so the triple is clockwise
+def test_a_clockwise_triple_whose_cross_is_nan_is_stored_counterclockwise():
+    # euclid_signed_area halves the cross of p2 - p1 and p3 - p1, whose products
+    # both overflow to -inf; the exact 2S is -5.0e610 (mpmath): clockwise
     p1, p2, p3 = (P(1.7e308, -1e308), P(-4.975375852650895e302, -1456046219969714.5),
                   P(-348808.3656137566, 1.75297339967585))
-    assert math.isnan(Triangle._two_s(p1, p2, p3))
+    assert math.isnan(euclid_signed_area(p1, p2, p3))
     tri = Triangle(p1, p2, p3)
     assert tri.vertices == (p1, p3, p2)
     assert all(sinh_e(a) > 0 for a in tri.elements().angles)
 
 
-def test_a_collinear_triple_whose_shoelace_sum_is_nan_is_refused():
+def test_a_collinear_triple_near_the_largest_double_is_refused():
+    # the shoelace sum on these absolute coordinates is NaN; the cross of the
+    # sides from p1 is exactly zero
     x = 1.5392735181785487e+293
     vertices = (P(x, 3.7482917678723244e+54), P(x, -3.567478831146048e+54),
                 P(x, 2.0027936423369135e+54))
-    assert math.isnan(Triangle._two_s(*vertices))
+    assert euclid_signed_area(*vertices) == 0.0
     with pytest.raises(DegenerateTriangle):
         Triangle(*vertices)
+
+
+@pytest.mark.parametrize("x, ys", [
+    (1000.1343642441124, (6.948674738744653e-4, 5.275492379532281e-4, -4.898619485211567e-4)),
+    (1.6304369076713387e+161, (9.005076362158298e+97, 8.512700866169274e+97, -9.781186517191471e+97)),
+], ids=["x=1000", "x=1.6e161"])
+def test_exactly_collinear_triples_off_the_origin_are_refused(x, ys):
+    # a shoelace sum on these absolute coordinates left S = 4.2e-17 and 2.2e243
+    with pytest.raises(DegenerateTriangle):
+        Triangle(*(P(x, y) for y in ys))
+
+
+_far = st.floats(-1e300, 1e300)
+
+
+@given(_far, st.lists(_far, min_size=3, max_size=3, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_three_points_on_one_vertical_line_are_collinear_at_any_offset(x, ys):
+    with pytest.raises(DegenerateTriangle):
+        Triangle(*(P(x, y) for y in ys))
+
+
+def test_a_triangle_whose_cross_overflows_is_stored_counterclockwise():
+    # ex fy = 1.5e401 overflows; orientation and flatness are decided on the
+    # rescaled sides
+    vertices = (P(0.0, 0.0), P(5e200, 0.0), P(5e200, 3e200))
+    tri = Triangle(*vertices)
+    assert tri.vertices == vertices
+    assert math.isinf(euclid_signed_area(*vertices))
 
 
 def test_law_of_sines(tri):
