@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from ._value import _Value
+from ._value import _Value, _setters
 from .errors import InvalidInput, NullDirection, OverflowingAngle
 from .tol import is_null_xy, null_eps, rescaled
 
@@ -82,17 +82,20 @@ class ExtendedAngle(_Value):
     __slots__ = _fields = ("theta", "k")
 
     def __init__(self, theta: float, k: KleinIndex = KleinIndex.P1) -> None:
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "k", k)
+        _set_theta(self, theta)
+        _set_k(self, k)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.theta) is not float:
-            object.__setattr__(self, "theta", float(self.theta))
+            _set_theta(self, float(self.theta))
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
         if not isinstance(self.k, KleinIndex):
             raise ValueError(f"k must be a KleinIndex, got {self.k!r}")
+
+
+_set_theta, _set_k = _setters(ExtendedAngle)
 
 
 def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import _Value
+from ._value import _Value, _setters
 from .errors import ZeroVector
 from .geometry import PointP
 from .hypnum import HyperbolicNumber
@@ -16,9 +16,12 @@ class EuclideanAngleValues(_Value):
     __slots__ = _fields = ("cos", "sin", "radians")
 
     def __init__(self, cos: float, sin: float, radians: float) -> None:
-        object.__setattr__(self, "cos", cos)
-        object.__setattr__(self, "sin", sin)
-        object.__setattr__(self, "radians", radians)
+        _set_cos(self, cos)
+        _set_sin(self, sin)
+        _set_radians(self, radians)
+
+
+_set_cos, _set_sin, _set_radians = _setters(EuclideanAngleValues)
 
 
 def euclid_angle(v1: HyperbolicNumber, v2: HyperbolicNumber) -> EuclideanAngleValues:

@@ -11,7 +11,7 @@ import math
 from enum import Enum
 
 from . import angle as _angle
-from ._value import _Value
+from ._value import _Value, _setters
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NullDirection, ParallelRays
 from .hypnum import HyperbolicNumber, euler
@@ -81,7 +81,8 @@ def _cross(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
 def _parallel(cross: float, ax: float, ay: float, bx: float, by: float) -> bool:
     """The one flatness test: (ax, ay) and (bx, by), whose cross is ``cross``,
     are parallel when |cross| <= PARALLEL_TOL |a| |b|."""
-    return abs(cross) <= PARALLEL_TOL * (math.hypot(ax, ay) * math.hypot(bx, by))
+    # TOL |a| first: |a| |b| alone can overflow where the cross fits
+    return abs(cross) <= PARALLEL_TOL * math.hypot(ax, ay) * math.hypot(bx, by)
 
 
 def _pseudo_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
@@ -99,8 +100,8 @@ class PELine(_Value):
     __slots__ = _fields = ("anchor", "direction")
 
     def __init__(self, anchor: PointP, direction: HyperbolicNumber) -> None:
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "direction", direction)
+        _set_anchor(self, anchor)
+        _set_direction(self, direction)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -108,7 +109,7 @@ class PELine(_Value):
         if d.is_null():
             raise NullDirection(f"({d.x}, {d.y}) is a null direction; a line needs a non-null one")
         rho = d.module()
-        object.__setattr__(self, "direction", HyperbolicNumber(d.x / rho, d.y / rho))
+        _set_direction(self, HyperbolicNumber(d.x / rho, d.y / rho))
 
     @property
     def kind(self) -> SegmentKind:
@@ -139,6 +140,9 @@ class PELine(_Value):
     @classmethod
     def from_slope_intercept(cls, m: float, q: float) -> "PELine":
         return cls(PointP(0.0, q), HyperbolicNumber(1.0, m))
+
+
+_set_anchor, _set_direction = _setters(PELine)
 
 
 def line_through(p: PointP, q: PointP) -> PELine:
@@ -210,8 +214,8 @@ class Motion(_Value):
     __slots__ = _fields = ("rotation", "offset")
 
     def __init__(self, rotation: ExtendedAngle, offset: HyperbolicNumber) -> None:
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "offset", offset)
+        _set_rotation(self, rotation)
+        _set_offset(self, offset)
 
     @classmethod
     def identity(cls) -> "Motion":
@@ -221,9 +225,19 @@ class Motion(_Value):
         return self.rotation.k.kappa > 0
 
     def apply(self, p: PointP) -> PointP:
-        return p * euler(self.rotation) + self.offset
+        c, s = _angle.cosh_sinh(self.rotation)
+        return _moved(p, c, s, self.offset)
 
     def inverted(self) -> "Motion":
         back = ExtendedAngle(-self.rotation.theta, self.rotation.k)
         shift = -(self.offset * euler(back))
         return Motion(back, shift)
+
+
+_set_rotation, _set_offset = _setters(Motion)
+
+
+def _moved(p: PointP, c: float, s: float, offset: HyperbolicNumber) -> PointP:
+    # p * (c, s) + offset, formed in floats in the operand order of
+    # HyperbolicNumber.__mul__ and then __add__, so the image is bit-identical
+    return PointP((p.x * c + p.y * s) + offset.x, (p.x * s + p.y * c) + offset.y)

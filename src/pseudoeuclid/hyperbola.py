@@ -13,7 +13,7 @@ import math
 from enum import Enum
 
 from . import angle as _angle
-from ._value import _Value
+from ._value import _Value, _setters
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection, ParallelRays
 from .geometry import PELine, PointP, _normalized_dot, _parallel, displacement, midpoint
@@ -37,22 +37,25 @@ class Chord(_Value):
     __slots__ = _fields = ("a", "b", "chord_class", "D")
 
     def __init__(self, a: PointP, b: PointP, chord_class: ChordClass, D: float) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "chord_class", chord_class)
-        object.__setattr__(self, "D", D)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_chord_class(self, chord_class)
+        _set_D(self, D)
+
+
+_set_a, _set_b, _set_chord_class, _set_D = _setters(Chord)
 
 
 class EquilateralHyperbola(_Value):
     __slots__ = _fields = ("center", "P")
 
     def __init__(self, center: PointP, P: float) -> None:
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "P", P)
+        _set_center(self, center)
+        _set_P(self, P)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "P", float(self.P))
+        _set_P(self, float(self.P))
         if not math.isfinite(self.P):
             raise InvalidInput(f"P must be finite, got {self.P!r}")
         if self.P == 0.0:
@@ -192,6 +195,9 @@ class EquilateralHyperbola(_Value):
         if vertex == a or vertex == b:
             raise NullDirection("vertex coincides with a diameter endpoint")
         return _normalized_dot(displacement(vertex, a), displacement(vertex, b))
+
+
+_set_center, _set_P = _setters(EquilateralHyperbola)
 
 
 def circumscribed(tri) -> EquilateralHyperbola:

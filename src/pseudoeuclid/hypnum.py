@@ -12,7 +12,7 @@ from enum import Enum
 from numbers import Real
 
 from . import angle as _angle
-from ._value import _Value
+from ._value import _Value, _setters
 from .angle import ExtendedAngle
 from .errors import InvalidInput, NonPositiveRho, NullDirection, NullDivisor
 from .tol import is_null_xy, quadratic_form, rescaled
@@ -39,16 +39,16 @@ class HyperbolicNumber(_Value):
     __slots__ = _fields = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         # an exact float is kept as is: writing every value back cost more than the check
         if type(self.x) is not float:
-            object.__setattr__(self, "x", float(self.x))
+            _set_x(self, float(self.x))
         if type(self.y) is not float:
-            object.__setattr__(self, "y", float(self.y))
+            _set_y(self, float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"components must be finite, got ({self.x!r}, {self.y!r})")
 
@@ -108,6 +108,9 @@ class HyperbolicNumber(_Value):
             return HyperbolicNumber(math.ldexp(x / d, s), math.ldexp(-y / d, s))
         except OverflowError as exc:
             raise InvalidInput(f"the inverse of ({self.x}, {self.y}) does not fit a double") from exc
+
+
+_set_x, _set_y = _setters(HyperbolicNumber)
 
 
 def euler(a: ExtendedAngle) -> HyperbolicNumber:

@@ -18,10 +18,10 @@ import math
 from collections.abc import Iterable
 
 from . import angle as _angle
-from ._value import _Value
+from ._value import _Value, _setters
 from .angle import ExtendedAngle, KleinIndex
 from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, ParallelRays
-from .geometry import Motion, PointP, _parallel
+from .geometry import Motion, PointP, _moved, _parallel
 # angle_between is re-exported: the public angle is reachable from this module too
 from .hypnum import _angle_of, angle_between, euler  # noqa: F401
 from .tol import is_null_xy, quadratic_form, rescaled
@@ -54,10 +54,13 @@ class TriangleElements(_Value):
 
     def __init__(self, D: tuple[float, float, float], d: tuple[float, float, float],
                  angles: tuple[ExtendedAngle, ExtendedAngle, ExtendedAngle], S: float) -> None:
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "S", S)
+        _set_D(self, D)
+        _set_d(self, d)
+        _set_angles(self, angles)
+        _set_S(self, S)
+
+
+_set_D, _set_d, _set_angles, _set_S = _setters(TriangleElements)
 
 
 class Triangle(_Value):
@@ -66,22 +69,22 @@ class Triangle(_Value):
     _fields = ("p1", "p2", "p3")
 
     def __init__(self, p1: PointP, p2: PointP, p3: PointP) -> None:
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "p3", p3)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
+        _set_p3(self, p3)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         p1, p2, p3 = self.p1, self.p2, self.p3
-        sides = ((p2.x - p1.x, p2.y - p1.y), (p3.x - p2.x, p3.y - p2.y),
-                 (p3.x - p1.x, p3.y - p1.y))
-        for name, (dx, dy) in zip(("p1p2", "p2p3", "p1p3"), sides):
+        ex, ey = p2.x - p1.x, p2.y - p1.y
+        gx, gy = p3.x - p2.x, p3.y - p2.y
+        fx, fy = p3.x - p1.x, p3.y - p1.y
+        for name, dx, dy in (("p1p2", ex, ey), ("p2p3", gx, gy), ("p1p3", fx, fy)):
             if not (math.isfinite(dx) and math.isfinite(dy)):
                 raise ValueError(f"components must be finite, got ({dx!r}, {dy!r})")
             if is_null_xy(dx, dy):
                 raise NullSide(f"side {name} lies on a null line")
         # 2S is the cross of sides p1p2 and p1p3, as in signed_area()
-        (ex, ey), _, (fx, fy) = sides
         two_s = ex * fy - ey * fx
         if not math.isfinite(two_s):
             # a product overflowed; the sign and the test below do not change
@@ -91,8 +94,8 @@ class Triangle(_Value):
         if _parallel(two_s, ex, ey, fx, fy):
             raise DegenerateTriangle("vertices are collinear")
         if two_s < 0.0:
-            object.__setattr__(self, "p2", p3)
-            object.__setattr__(self, "p3", p2)
+            _set_p2(self, p3)
+            _set_p3(self, p2)
 
     @property
     def vertices(self) -> tuple[PointP, PointP, PointP]:
@@ -132,7 +135,7 @@ class Triangle(_Value):
                  _angle_of(x31, y31, x32, y32)),
                 self.signed_area(),
             )
-            object.__setattr__(self, "_elements", el)
+            _set_elements(self, el)
         return el
 
     def law_of_sines_residual(self) -> float:
@@ -176,9 +179,9 @@ class Triangle(_Value):
         return _angle.add_angles(_angle.add_angles(el.angles[0], el.angles[1]), el.angles[2])
 
     def transformed(self, motion: Motion) -> "Triangle":
-        # the products Motion.apply forms, with the unit computed once
-        u, offset = euler(motion.rotation), motion.offset
-        return Triangle(self.p1 * u + offset, self.p2 * u + offset, self.p3 * u + offset)
+        # the images Motion.apply forms, with the unit pair computed once
+        (c, s), o = _angle.cosh_sinh(motion.rotation), motion.offset
+        return Triangle(_moved(self.p1, c, s, o), _moved(self.p2, c, s, o), _moved(self.p3, c, s, o))
 
     def canonicalize(self) -> tuple[Motion, "Triangle"]:
         """The proper motion taking p1 to the origin and p2 onto an axis.
@@ -197,6 +200,9 @@ class Triangle(_Value):
         return motion, self.transformed(motion)
 
 
+_set_p1, _set_p2, _set_p3, _set_elements = _setters(Triangle)
+
+
 def _as_square(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -212,6 +218,10 @@ def _as_angle(name: str, value: ExtendedAngle) -> ExtendedAngle:
     return value
 
 
+# p1 of every placed triangle; a record is immutable, so one instance serves all
+_ORIGIN = PointP(0.0, 0.0)
+
+
 def _place(c1: float, s1: float, d2: float, D3: float) -> tuple[PointP, PointP, PointP]:
     # canonical placement: p1 at the origin, p2 on the axis matching the kind
     # of side 3, p3 at d2 along the unit direction (c1, s1) = (cosh_e, sinh_e)
@@ -221,8 +231,8 @@ def _place(c1: float, s1: float, d2: float, D3: float) -> tuple[PointP, PointP, 
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInput(f"the third vertex, {d2!r} * ({c1!r}, {s1!r}), does not fit a double")
     if D3 > 0:
-        return PointP(0.0, 0.0), PointP(d3, 0.0), PointP(x, y)
-    return PointP(0.0, 0.0), PointP(0.0, -d3), PointP(y, x)
+        return _ORIGIN, PointP(d3, 0.0), PointP(x, y)
+    return _ORIGIN, PointP(0.0, -d3), PointP(y, x)
 
 
 def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:

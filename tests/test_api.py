@@ -1,7 +1,8 @@
 """The package root re-exports exactly what ``__all__`` lists, each public name is
 declared once, in the ``__all__`` of the module that defines it, nothing is defined
-unread, there is one type per shape of record, and importing the CLI loads neither
-``dataclasses`` nor ``inspect``."""
+unread, there is one type per shape of record, only ``_value._rebuild`` sets a slot
+through ``object.__setattr__``, and importing the CLI loads neither ``dataclasses`` nor
+``inspect``."""
 from __future__ import annotations
 
 import ast
@@ -101,6 +102,21 @@ def test_no_two_value_classes_share_their_fields():
         by_fields.setdefault(cls._fields, []).append(cls.__name__)
     assert len(by_fields) >= 8
     assert all(len(names) == 1 for names in by_fields.values()), by_fields
+
+
+def test_only_rebuild_sets_a_slot_through_object_setattr():
+    # every record writes its fields through the bound slot setters of
+    # _value._setters; only unpickling and copying set slots by name
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {id(inner): node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for inner in ast.walk(node)}
+        found |= {(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"}
+    assert found == {("_value.py", "_rebuild")}
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():

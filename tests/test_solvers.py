@@ -18,6 +18,7 @@ from pseudoeuclid.geometry import PointP
 from pseudoeuclid.hypnum import HyperbolicNumber
 from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.triangle import (
+    _ORIGIN,
     Triangle,
     realizability,
     solve_asa,
@@ -338,9 +339,10 @@ def test_sss_decides_realizability_by_the_exact_sign_of_q(D, realizable):
 
 def test_solvers_decide_without_building_elements(monkeypatch):
     # every verdict is a sign test on the data, taken before or without
-    # recomputing a candidate's elements.  A solver builds the three vertices
-    # of each triangle it places and no other number: none at all when a sign
-    # test refuses, three when the placed figure is refused as flat
+    # recomputing a candidate's elements.  A solver builds p2 and p3 of each
+    # triangle it places and no other number (p1 is the one shared origin):
+    # none at all when a sign test refuses, two when the placed figure is
+    # refused as flat
     def refuse(self):
         raise AssertionError("a solver built the elements of a candidate")
 
@@ -348,13 +350,15 @@ def test_solvers_decide_without_building_elements(monkeypatch):
     post_init = HyperbolicNumber.__post_init__
     monkeypatch.setattr(Triangle, "elements", refuse)
     monkeypatch.setattr(HyperbolicNumber, "__post_init__", lambda z: built.append(z) or post_init(z))
+    assert _ORIGIN == P(0.0, 0.0)
 
     def solved(solver, *args) -> int:
         del built[:]
         got = solver(*args)
-        count = len(got) if isinstance(got, list) else 1
-        assert len(built) == 3 * count, (solver.__name__, args, len(built))
-        return count
+        found = got if isinstance(got, list) else [got]
+        assert len(built) == 2 * len(found), (solver.__name__, args, len(built))
+        assert all(t.p1 is _ORIGIN for t in found), (solver.__name__, args)
+        return len(found)
 
     def refused(numbers, exc, match, solver, *args) -> None:
         del built[:]
@@ -373,12 +377,12 @@ def test_solvers_decide_without_building_elements(monkeypatch):
     refused(0, Inconsistent, "wrong side", solve_asa, A06, ExtendedAngle(-0.5), 25.0)
     refused(0, Inconsistent, "wrong side", solve_asa, A06, ExtendedAngle(0.1, H), -25.0)
     refused(0, ParallelRays, "parallel", solve_asa, A06, ExtendedAngle(-A06.theta, P1), 25.0)
-    refused(3, Inconsistent, "degenerate configuration", solve_asa,
+    refused(2, Inconsistent, "degenerate configuration", solve_asa,
             ExtendedAngle(1e-13), ExtendedAngle(1.0), 1.0)
     solved(solve_sas, ExtendedAngle(math.log(2.0)), 16.0, 25.0)
     refused(0, Inconsistent, "clockwise", solve_sas, ExtendedAngle(-math.log(2.0)), 16.0, 25.0)
     refused(0, Inconsistent, "contradicts", solve_sas, ExtendedAngle(math.log(2.0)), -16.0, 25.0)
-    refused(3, Inconsistent, "flat", solve_sas, ExtendedAngle(1e-13, P1), 1.0, 1.0)
+    refused(2, Inconsistent, "flat", solve_sas, ExtendedAngle(1e-13, P1), 1.0, 1.0)
     solved(solve_sss, -9.0, 16.0, 25.0)
     refused(0, Inconsistent, "Q > 0", solve_sss, 1.0, 1.0, 1.0)
     refused(0, Inconsistent, "degenerate figure", solve_sss, 0.9999999999999999, 4.0, 1.0)

@@ -149,6 +149,16 @@ def test_a_triangle_whose_cross_overflows_is_stored_counterclockwise():
     assert math.isinf(euclid_signed_area(*vertices))
 
 
+def test_a_triangle_whose_side_moduli_multiply_past_the_largest_double_constructs():
+    # the cross, 9e307, fits; |e| |f| = 2.1e308 does not, so the flatness
+    # bound is formed as PARALLEL_TOL |e| first
+    vertices = (P(0.0, 0.0), P(1.5e154, 0.0), P(1.3e154, 0.6e154))
+    assert math.isinf(math.hypot(1.5e154, 0.0) * math.hypot(1.3e154, 0.6e154))
+    tri = Triangle(*vertices)
+    assert tri.vertices == vertices
+    assert tri.signed_area() > 0.0
+
+
 def test_law_of_sines(tri):
     el = tri.elements()
     ratios = [sinh_e(el.angles[i]) / el.d[i] for i in range(3)]
@@ -312,6 +322,26 @@ def test_elements_are_the_public_composition_bit_for_bit(xy, k):
     assert [a.theta.hex() for a in el.angles] == [a.theta.hex() for a in angles]
     assert all(a.k is b.k for a, b in zip(el.angles, angles))
     assert el.S.hex() == tri.signed_area().hex()
+
+
+@given(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3),
+       st.floats(-20.0, 20.0), st.sampled_from(list(KleinIndex)), _coord, _coord)
+@settings(max_examples=300, deadline=None)
+def test_transformed_is_apply_on_each_vertex_bit_for_bit(xy, theta, k, ox, oy):
+    try:
+        tri = Triangle(*(P(x, y) for x, y in xy))
+    except (NullSide, DegenerateTriangle):
+        assume(False)
+    motion = Motion(ExtendedAngle(theta, k), HyperbolicNumber(ox, oy))
+    try:
+        expected = Triangle(*(motion.apply(p) for p in tri.vertices))
+    except (NullSide, DegenerateTriangle) as exc:
+        with pytest.raises(type(exc)):
+            tri.transformed(motion)
+        return
+    got = tri.transformed(motion)
+    assert ([(p.x.hex(), p.y.hex()) for p in got.vertices]
+            == [(p.x.hex(), p.y.hex()) for p in expected.vertices])
 
 
 @pytest.mark.parametrize("vertices", [
