@@ -31,18 +31,28 @@ THETA_MAX = 350.0
 
 
 class KleinIndex(Enum):
-    """The four unit directions +1, +h, -1, -h, with the signs (sgn u, sgn w)
-    of their null coordinates."""
+    """The four unit directions +1, +h, -1, -h.
+
+    ``signs`` is the sign pair (sgn u, sgn w) of their null coordinates and
+    ``kappa`` its product: +1 for the proper indices +-1, -1 for +-h, the sign
+    of D on the sector.  Both are plain member attributes, set once.  Members
+    are singletons, so equality is identity and they hash by identity too.
+    """
 
     P1 = ("+1", 1.0, 1.0)
     H = ("+h", 1.0, -1.0)
     M1 = ("-1", -1.0, -1.0)
     MH = ("-h", -1.0, 1.0)
 
+    # Enum.__hash__ hashes the name in Python; for singletons the identity
+    # hash keeps the same contract and keeps the _KLEIN_TABLE lookup in C
+    __hash__ = object.__hash__
+
     def __new__(cls, label: str, su: float, sw: float) -> "KleinIndex":
         member = object.__new__(cls)
         member._value_ = label
         member.signs = (su, sw)
+        member.kappa = su * sw
         return member
 
     def __mul__(self, other: "KleinIndex") -> "KleinIndex":
@@ -62,12 +72,10 @@ class KleinIndex(Enum):
         su, sw = self.signs
         return (su + sw) / 2.0, (su - sw) / 2.0
 
-    @property
-    def kappa(self) -> float:
-        """+1 for the proper indices +-1, -1 for +-h: the sign of D on the sector."""
-        return self.signs[0] * self.signs[1]
 
-
+# the members as module globals for the kernels: on CPython 3.11 reading
+# KleinIndex.P1 through the class costs several times a global read
+_P1, _H, _M1, _MH = KleinIndex
 _BY_SIGNS = {(k.signs[0] > 0, k.signs[1] > 0): k for k in KleinIndex}
 # built once: __mul__ stays a single lookup instead of multiplying signs per call
 _KLEIN_TABLE = {
@@ -109,11 +117,11 @@ def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:
         raise OverflowingAngle(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
     c, s = math.cosh(theta), math.sinh(theta)
     k = a.k
-    if k is KleinIndex.P1:
+    if k is _P1:
         return c, s
-    if k is KleinIndex.M1:
+    if k is _M1:
         return -c, -s
-    if k is KleinIndex.H:
+    if k is _H:
         return s, c
     return -s, -c
 

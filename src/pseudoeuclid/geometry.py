@@ -12,9 +12,9 @@ from enum import Enum
 
 from . import angle as _angle
 from ._value import _Value, _setters
-from .angle import ExtendedAngle, KleinIndex
+from .angle import _P1, ExtendedAngle
 from .errors import InvalidInput, NullDirection, ParallelRays
-from .hypnum import HyperbolicNumber, euler
+from .hypnum import HyperbolicNumber
 from .tol import is_null_xy, quadratic_form
 
 __all__ = [
@@ -126,7 +126,10 @@ class PELine(_Value):
         return _cross(displacement(self.anchor, p), self.direction)
 
     def contains(self, p: PointP) -> bool:
-        scale = 1.0 + abs(p.x) + abs(p.y) + abs(self.anchor.x) + abs(self.anchor.y)
+        """True when |residual(p)| <= INCIDENCE_TOL (|px| + |py| + |ax| + |ay|) |e|,
+        with a the anchor and e the direction: scale-free, so a point and a line
+        scaled together get the same verdict at every magnitude."""
+        scale = abs(p.x) + abs(p.y) + abs(self.anchor.x) + abs(self.anchor.y)
         return abs(self.residual(p)) <= INCIDENCE_TOL * scale * _euclid_norm(self.direction)
 
     def slope_intercept(self) -> tuple[float, float]:
@@ -219,7 +222,7 @@ class Motion(_Value):
 
     @classmethod
     def identity(cls) -> "Motion":
-        return cls(ExtendedAngle(0.0, KleinIndex.P1), HyperbolicNumber(0.0, 0.0))
+        return cls(ExtendedAngle(0.0, _P1), HyperbolicNumber(0.0, 0.0))
 
     def is_proper(self) -> bool:
         return self.rotation.k.kappa > 0
@@ -230,8 +233,8 @@ class Motion(_Value):
 
     def inverted(self) -> "Motion":
         back = ExtendedAngle(-self.rotation.theta, self.rotation.k)
-        shift = -(self.offset * euler(back))
-        return Motion(back, shift)
+        c, s = _angle.cosh_sinh(back)
+        return Motion(back, _negated_product(self.offset, c, s))
 
 
 _set_rotation, _set_offset = _setters(Motion)
@@ -241,3 +244,9 @@ def _moved(p: PointP, c: float, s: float, offset: HyperbolicNumber) -> PointP:
     # p * (c, s) + offset, formed in floats in the operand order of
     # HyperbolicNumber.__mul__ and then __add__, so the image is bit-identical
     return PointP((p.x * c + p.y * s) + offset.x, (p.x * s + p.y * c) + offset.y)
+
+
+def _negated_product(p: PointP, c: float, s: float) -> PointP:
+    # -(p * (c, s)), formed in floats in the operand order of __mul__, so it
+    # is bit-identical to the product and its negation
+    return PointP(-(p.x * c + p.y * s), -(p.x * s + p.y * c))

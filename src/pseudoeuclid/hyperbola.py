@@ -14,7 +14,7 @@ from enum import Enum
 
 from . import angle as _angle
 from ._value import _Value, _setters
-from .angle import ExtendedAngle, KleinIndex
+from .angle import _P1, ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection, ParallelRays
 from .geometry import PELine, PointP, _normalized_dot, _parallel, displacement, midpoint
 from .hypnum import HyperbolicNumber, angle_between, euler
@@ -122,7 +122,7 @@ class EquilateralHyperbola(_Value):
         d = displacement(a, b)
         if d.is_null():
             raise NullDirection("chord endpoints coincide")
-        cls = ChordClass.EXTERNAL if (ka * kb) is KleinIndex.P1 else ChordClass.INTERNAL
+        cls = ChordClass.EXTERNAL if (ka * kb) is _P1 else ChordClass.INTERNAL
         return Chord(a, b, cls, d.square_module())
 
     def diameter_square_length(self) -> float:

@@ -51,23 +51,27 @@ def random_angle(rng: random.Random) -> ExtendedAngle:
     return ExtendedAngle(rng.uniform(-ANGLE_RANGE, ANGLE_RANGE), rng.choice(_ALL_KS))
 
 
+def _near_null(dx: float, dy: float) -> bool:
+    return abs(quadratic_form(dx, dy)) < TRIANGLE_MARGIN * (dx * dx + dy * dy)
+
+
 def random_triangle(rng: random.Random) -> Triangle:
     """Vertices in a +-5 box, rejecting badly conditioned triples: every side
     must stay clear of the null lines and the area clear of zero, both
     relative to the Euclidean size of the sides."""
+    uniform = rng.uniform
     while True:
-        pts = [PointP(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)) for _ in range(3)]
-        vecs = [(pts[1].x - pts[0].x, pts[1].y - pts[0].y),
-                (pts[2].x - pts[1].x, pts[2].y - pts[1].y),
-                (pts[2].x - pts[0].x, pts[2].y - pts[0].y)]
-        if any(abs(quadratic_form(dx, dy)) < TRIANGLE_MARGIN * (dx * dx + dy * dy)
-               for dx, dy in vecs):
+        x1, y1 = uniform(-BOX, BOX), uniform(-BOX, BOX)
+        x2, y2 = uniform(-BOX, BOX), uniform(-BOX, BOX)
+        x3, y3 = uniform(-BOX, BOX), uniform(-BOX, BOX)
+        # the sides p1p2, p2p3, p1p3; points are built only for a triple that passes
+        ex, ey, gx, gy, fx, fy = x2 - x1, y2 - y1, x3 - x2, y3 - y2, x3 - x1, y3 - y1
+        if _near_null(ex, ey) or _near_null(gx, gy) or _near_null(fx, fy):
             continue
-        (x1, y1), _, (x3, y3) = vecs
-        if abs(x1 * y3 - y1 * x3) < TRIANGLE_MARGIN * math.hypot(x1, y1) * math.hypot(x3, y3):
+        if abs(ex * fy - ey * fx) < TRIANGLE_MARGIN * math.hypot(ex, ey) * math.hypot(fx, fy):
             continue
         try:
-            return Triangle(*pts)
+            return Triangle(PointP(x1, y1), PointP(x2, y2), PointP(x3, y3))
         except PseudoEuclidError:  # pragma: no cover - excluded by the margins
             continue
 

@@ -19,11 +19,11 @@ from collections.abc import Iterable
 
 from . import angle as _angle
 from ._value import _Value, _setters
-from .angle import ExtendedAngle, KleinIndex
+from .angle import _MH, _P1, ExtendedAngle
 from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, ParallelRays
-from .geometry import Motion, PointP, _moved, _parallel
+from .geometry import Motion, PointP, _moved, _negated_product, _parallel
 # angle_between is re-exported: the public angle is reachable from this module too
-from .hypnum import _angle_of, angle_between, euler  # noqa: F401
+from .hypnum import _angle_of, angle_between  # noqa: F401
 from .tol import is_null_xy, quadratic_form, rescaled
 
 __all__ = [
@@ -141,8 +141,13 @@ class Triangle(_Value):
     def law_of_sines_residual(self) -> float:
         """Largest relative deviation of sinh_e(theta_i)/d_i from 2S/(d1 d2 d3)."""
         el = self.elements()
-        ref = 2.0 * el.S / (el.d[0] * el.d[1] * el.d[2])
-        return _worst(abs(_angle.sinh_e(a) / d - ref) / abs(ref) for a, d in zip(el.angles, el.d))
+        d1, d2, d3 = el.d
+        a1, a2, a3 = el.angles
+        sinh_e = _angle.sinh_e
+        ref = 2.0 * el.S / (d1 * d2 * d3)
+        return _worst((abs(sinh_e(a1) / d1 - ref) / abs(ref),
+                       abs(sinh_e(a2) / d2 - ref) / abs(ref),
+                       abs(sinh_e(a3) / d3 - ref) / abs(ref)))
 
     def law_of_cosines_check(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """Normalized residuals of the cosine and projection laws, per index.
@@ -152,18 +157,25 @@ class Triangle(_Value):
         side modulus.
         """
         el = self.elements()
-        cos = [_angle.cosh_e(a) for a in el.angles]
-        cos_res = []
-        proj_res = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            rhs = el.D[j] + el.D[k] - 2.0 * el.d[j] * el.d[k] * cos[i]
-            scale = max(1.0, abs(el.D[i]), abs(el.D[j]), abs(el.D[k]),
-                        2.0 * el.d[j] * el.d[k] * abs(cos[i]))
-            cos_res.append(abs(el.D[i] - rhs) / scale)
-            interior = el.d[j] * cos[k] + el.d[k] * cos[j]
-            proj_res.append(abs(el.d[i] - abs(interior)) / max(1.0, el.d[i]))
-        return tuple(cos_res), tuple(proj_res)
+        D1, D2, D3 = el.D
+        d1, d2, d3 = el.d
+        a1, a2, a3 = el.angles
+        cosh_e = _angle.cosh_e
+        c1, c2, c3 = cosh_e(a1), cosh_e(a2), cosh_e(a3)
+        # 2 d_j d_k for each vertex i, with (i, j, k) a cyclic order
+        t1, t2, t3 = 2.0 * d2 * d3, 2.0 * d3 * d1, 2.0 * d1 * d2
+        # the argument order of max() decides what a NaN argument gives
+        cos_res = (
+            abs(D1 - (D2 + D3 - t1 * c1)) / max(1.0, abs(D1), abs(D2), abs(D3), t1 * abs(c1)),
+            abs(D2 - (D3 + D1 - t2 * c2)) / max(1.0, abs(D2), abs(D3), abs(D1), t2 * abs(c2)),
+            abs(D3 - (D1 + D2 - t3 * c3)) / max(1.0, abs(D3), abs(D1), abs(D2), t3 * abs(c3)),
+        )
+        proj_res = (
+            abs(d1 - abs(d2 * c3 + d3 * c2)) / max(1.0, d1),
+            abs(d2 - abs(d3 * c1 + d1 * c3)) / max(1.0, d2),
+            abs(d3 - abs(d1 * c2 + d2 * c1)) / max(1.0, d3),
+        )
+        return cos_res, proj_res
 
     def is_right_angle_at(self, i: int) -> bool:
         """True when vertex i (1-based) carries a right angle, i.e. its
@@ -192,11 +204,10 @@ class Triangle(_Value):
         image is counterclockwise with the same square sides and angles.
         """
         a = _angle.from_point(self.p2.x - self.p1.x, self.p2.y - self.p1.y)
-        target = KleinIndex.P1 if a.k.kappa > 0 else KleinIndex.MH
+        target = _P1 if a.k.kappa > 0 else _MH
         rot = ExtendedAngle(-a.theta, target * a.k)
-        spin = euler(rot)
-        shift = -(self.p1 * spin)
-        motion = Motion(rot, shift)
+        c, s = _angle.cosh_sinh(rot)
+        motion = Motion(rot, _negated_product(self.p1, c, s))
         return motion, self.transformed(motion)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,44 @@ def test_klein_table_matches_unit_products():
             ua = HyperbolicNumber(*a.unit)
             ub = HyperbolicNumber(*b.unit)
             assert (ua * ub) == HyperbolicNumber(*(a * b).unit)
+
+
+def test_klein_products_are_sign_pair_products():
+    # all 16 products: the index whose signs are the componentwise products
+    for a in ALL_KS:
+        for b in ALL_KS:
+            assert (a * b).signs == (a.signs[0] * b.signs[0], a.signs[1] * b.signs[1])
+
+
+def test_kappa_is_a_plain_attribute_and_the_product_of_the_signs():
+    for k in ALL_KS:
+        assert vars(k)["kappa"] == k.kappa == k.signs[0] * k.signs[1]
+    assert [k.kappa for k in ALL_KS] == [1.0, -1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("clone", [
+    *(lambda k, p=p: pickle.loads(pickle.dumps(k, protocol=p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy,
+    copy.deepcopy,
+])
+def test_klein_members_hash_alike_across_pickle_and_copies(clone):
+    # members hash by identity, and pickling or copying hands back the member
+    for k in ALL_KS:
+        twin = clone(k)
+        assert twin is k and hash(twin) == hash(k) == object.__hash__(k)
+        assert clone(ExtendedAngle(0.25, k)) == ExtendedAngle(0.25, k)
+        assert hash(clone(ExtendedAngle(0.25, k))) == hash(ExtendedAngle(0.25, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-THETA_MAX, max_value=THETA_MAX), st.sampled_from(ALL_KS))
+def test_cosh_sinh_is_the_four_case_table_bit_for_bit(theta, k):
+    c, s = math.cosh(theta), math.sinh(theta)
+    table = {KleinIndex.P1: (c, s), KleinIndex.M1: (-c, -s),
+             KleinIndex.H: (s, c), KleinIndex.MH: (-s, -c)}
+    got = cosh_sinh(ExtendedAngle(theta, k))
+    assert [v.hex() for v in got] == [v.hex() for v in table[k]]
 
 
 @pytest.mark.parametrize("k, expected", [

@@ -129,6 +129,22 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
 
 
+def test_no_function_body_reads_a_klein_member_through_the_class():
+    # on CPython 3.11 KleinIndex.P1 costs several times a read of the module
+    # alias angle._P1; signature defaults and module-level code run once
+    members = {k.name for k in pseudoeuclid.KleinIndex}
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{inner.lineno}" for stmt in node.body
+                          for inner in ast.walk(stmt)
+                          if isinstance(inner, ast.Attribute) and inner.attr in members
+                          and isinstance(inner.value, ast.Name)
+                          and inner.value.id == "KleinIndex"}
+    assert not found, sorted(found)
+
+
 def test_no_import_inside_a_function():
     # an import in a function body runs on every call and hides a cycle
     # between modules; every import is at module level

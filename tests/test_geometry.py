@@ -24,7 +24,7 @@ from pseudoeuclid.geometry import (
     segment_kind,
     square_distance,
 )
-from pseudoeuclid.hypnum import HyperbolicNumber
+from pseudoeuclid.hypnum import HyperbolicNumber, euler
 
 H = HyperbolicNumber
 P = PointP
@@ -107,6 +107,16 @@ def test_containment():
     assert line.contains(P(11, 7))
     assert line.contains(P(-4, -2))
     assert not line.contains(P(11, 7.001))
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e6])
+def test_containment_is_scale_free(s):
+    # the line through (0, 0) and (2s, s) passes (s, 0.5s); (s, 0.4s) is 20%
+    # off it at every scale, and a tolerance with an absolute term let it in
+    # at small ones
+    line = line_through(P(0.0, 0.0), P(2.0 * s, s))
+    assert line.contains(P(s, 0.5 * s))
+    assert not line.contains(P(s, 0.4 * s))
 
 
 def test_vertical_line_has_no_slope_form():
@@ -230,6 +240,24 @@ def test_motion_roundtrip_and_invariance():
     rp = back.apply(mp)
     assert rp.x == pytest.approx(p.x, abs=1e-12)
     assert rp.y == pytest.approx(p.y, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-5.0, max_value=5.0), st.sampled_from(list(KleinIndex)),
+       st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=-1e6, max_value=1e6))
+def test_inverted_builds_only_the_offset_it_keeps(theta, k, ox, oy):
+    motion = Motion(ExtendedAngle(theta, k), H(ox, oy))
+    back = ExtendedAngle(-theta, k)
+    expected = -(motion.offset * euler(back))
+    built = []
+    post_init = HyperbolicNumber.__post_init__
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(HyperbolicNumber, "__post_init__", lambda z: built.append(z) or post_init(z))
+        inv = motion.inverted()
+    assert len(built) == 1 and built[0] is inv.offset
+    # the offset the parent formed as a product and its negation, bit for bit
+    assert inv.rotation == back
+    assert (inv.offset.x.hex(), inv.offset.y.hex()) == (expected.x.hex(), expected.y.hex())
 
 
 def test_improper_motion_flips_square_distance():

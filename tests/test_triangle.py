@@ -13,7 +13,7 @@ from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_e, sinh_e
 from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
 from pseudoeuclid.euclid import euclid_signed_area
 from pseudoeuclid.geometry import Motion, PointP, displacement, square_distance
-from pseudoeuclid.hypnum import HyperbolicNumber, angle_between
+from pseudoeuclid.hypnum import HyperbolicNumber, angle_between, euler
 from pseudoeuclid.tol import null_eps, set_null_eps
 from pseudoeuclid.triangle import Triangle
 
@@ -202,6 +202,27 @@ def test_canonicalize_fixture_is_fixed_point(tri):
     motion, canon = tri.canonicalize()
     assert motion.is_proper()
     assert canon.vertices == tri.vertices
+
+
+@pytest.mark.parametrize("vertices", [
+    ((2.0, 1.0), (6.5, 2.5), (3.0, 4.0)),
+    ((0.0, 0.0), (0.0, 5.0), (-5.0, 3.0)),
+    ((-1.5, 0.25), (-4.0, 0.5), (-2.0, 3.0)),
+    ((0.5, 2.0), (0.75, -3.0), (4.0, 1.0)),
+])
+def test_canonicalize_builds_only_the_numbers_it_keeps(vertices, monkeypatch):
+    tri = Triangle(*(P(x, y) for x, y in vertices))
+    built = []
+    post_init = HyperbolicNumber.__post_init__
+    monkeypatch.setattr(HyperbolicNumber, "__post_init__", lambda z: built.append(z) or post_init(z))
+    motion, canon = tri.canonicalize()
+    # the offset and the three image vertices
+    assert len(built) == 4
+    assert built[0] is motion.offset and built[1:] == list(canon.vertices)
+    # the offset the parent formed as -(p1 * euler(rotation)), bit for bit
+    expected = -(tri.p1 * euler(motion.rotation))
+    assert (motion.offset.x.hex(), motion.offset.y.hex()) == (expected.x.hex(), expected.y.hex())
+    assert canon == tri.transformed(motion)
 
 
 def test_canonicalize_general_first_kind_base():
