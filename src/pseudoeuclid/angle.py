@@ -56,7 +56,7 @@ class KleinIndex(Enum):
         return member
 
     def __mul__(self, other: "KleinIndex") -> "KleinIndex":
-        return _KLEIN_TABLE[(self, other)]
+        return _KLEIN_TABLE[self][other]
 
     @property
     def label(self) -> str:
@@ -76,11 +76,14 @@ class KleinIndex(Enum):
 # the members as module globals for the kernels: on CPython 3.11 reading
 # KleinIndex.P1 through the class costs several times a global read
 _P1, _H, _M1, _MH = KleinIndex
-_BY_SIGNS = {(k.signs[0] > 0, k.signs[1] > 0): k for k in KleinIndex}
-# built once: __mul__ stays a single lookup instead of multiplying signs per call
+# the member of each sign pair, read as _BY_SIGNS[u > 0][w > 0]: two lookups on
+# bool keys, where one on a (bool, bool) key would build and hash a tuple
+_BY_SIGNS = {pu: {k.signs[1] > 0: k for k in KleinIndex if (k.signs[0] > 0) is pu}
+             for pu in (True, False)}
+# built once from that map: __mul__ stays two lookups instead of multiplying signs per call
 _KLEIN_TABLE = {
-    (a, b): _BY_SIGNS[(a.signs[0] * b.signs[0] > 0, a.signs[1] * b.signs[1] > 0)]
-    for a in KleinIndex for b in KleinIndex
+    a: {b: _BY_SIGNS[a.signs[0] * b.signs[0] > 0][a.signs[1] * b.signs[1] > 0] for b in KleinIndex}
+    for a in KleinIndex
 }
 
 
@@ -141,8 +144,11 @@ def _from_null_coords(c: float, s: float, u: float, w: float) -> ExtendedAngle:
     # coordinates, each formed without cancellation.  The larger of |u|, |w|
     # exceeds the smaller by 2 min(|c|, |s|), so log1p of that excess keeps
     # full relative accuracy down to tiny theta, where 1/2 log|u/w| would not.
-    theta = 0.5 * math.log1p(2.0 * min(abs(c), abs(s)) / min(abs(u), abs(w)))
-    return ExtendedAngle(math.copysign(theta, c * s), _BY_SIGNS[(u > 0, w > 0)])
+    # Each min() is written as the comparison it makes: the call costs several
+    # times as much on this path, which runs for every angle.
+    ac, as_, au, aw = abs(c), abs(s), abs(u), abs(w)
+    theta = 0.5 * math.log1p(2.0 * (as_ if as_ < ac else ac) / (aw if aw < au else au))
+    return ExtendedAngle(math.copysign(theta, c * s), _BY_SIGNS[u > 0][w > 0])
 
 
 def from_point(x: float, y: float) -> ExtendedAngle:

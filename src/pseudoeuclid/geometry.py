@@ -129,8 +129,17 @@ class PELine(_Value):
         """True when |residual(p)| <= INCIDENCE_TOL (|px| + |py| + |ax| + |ay|) |e|,
         with a the anchor and e the direction: scale-free, so a point and a line
         scaled together get the same verdict at every magnitude."""
-        scale = abs(p.x) + abs(p.y) + abs(self.anchor.x) + abs(self.anchor.y)
-        return abs(self.residual(p)) <= INCIDENCE_TOL * scale * _euclid_norm(self.direction)
+        px, py, ax, ay = p.x, p.y, self.anchor.x, self.anchor.y
+        scale = abs(px) + abs(py) + abs(ax) + abs(ay)
+        if scale == math.inf:
+            # near the largest double the sum, and so p - anchor, overflows.  The
+            # verdict is homogeneous in p and the anchor, and on their quarters
+            # neither overflows (on halves, as segment_kind takes, the sum can)
+            px, py, ax, ay = px / 4.0, py / 4.0, ax / 4.0, ay / 4.0
+            scale = abs(px) + abs(py) + abs(ax) + abs(ay)
+        # residual(p), on the coordinates as scaled
+        e = self.direction
+        return abs((px - ax) * e.y - (py - ay) * e.x) <= INCIDENCE_TOL * scale * _euclid_norm(e)
 
     def slope_intercept(self) -> tuple[float, float]:
         """(m, q) with y = m x + q; fails for vertical lines."""

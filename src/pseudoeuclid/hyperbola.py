@@ -210,7 +210,7 @@ def circumscribed(tri) -> EquilateralHyperbola:
     p1 = tri.p1
     ex, ey, se = rescaled(tri.p2.x - p1.x, tri.p2.y - p1.y)
     fx, fy, sf = rescaled(tri.p3.x - p1.x, tri.p3.y - p1.y)
-    cross, s = ex * fy - ey * fx, min(se, sf)
+    cross, s = ex * fy - ey * fx, (sf if sf < se else se)
     if _parallel(cross, ex, ey, fx, fy):
         raise ParallelRays("lines are parallel")
     # each term on the scale 2^s of the longer of e and f

@@ -191,7 +191,9 @@ def _check_circum(pool) -> Iterator[float]:
         for v in tri.vertices:
             dx, dy = v.x - hyp.center.x, v.y - hyp.center.y
             err = abs(quadratic_form(dx, dy) - hyp.P)
-            yield err / max(abs(hyp.P), dx * dx + dy * dy)
+            # max(P, r2) as the comparison it makes
+            P, r2 = abs(hyp.P), dx * dx + dy * dy
+            yield err / (r2 if r2 > P else P)
 
 
 def run_selftest(seed: int = 0, n: int = 1000) -> dict:

@@ -79,11 +79,20 @@ class Triangle(_Value):
         ex, ey = p2.x - p1.x, p2.y - p1.y
         gx, gy = p3.x - p2.x, p3.y - p2.y
         fx, fy = p3.x - p1.x, p3.y - p1.y
-        for name, dx, dy in (("p1p2", ex, ey), ("p2p3", gx, gy), ("p1p3", fx, fy)):
-            if not (math.isfinite(dx) and math.isfinite(dy)):
-                raise ValueError(f"components must be finite, got ({dx!r}, {dy!r})")
-            if is_null_xy(dx, dy):
-                raise NullSide(f"side {name} lies on a null line")
+        # each side in turn, finite and then not null, in straight-line code:
+        # a loop would build a tuple of three tuples on every construction
+        if not (math.isfinite(ex) and math.isfinite(ey)):
+            raise ValueError(f"components must be finite, got ({ex!r}, {ey!r})")
+        if is_null_xy(ex, ey):
+            raise NullSide("side p1p2 lies on a null line")
+        if not (math.isfinite(gx) and math.isfinite(gy)):
+            raise ValueError(f"components must be finite, got ({gx!r}, {gy!r})")
+        if is_null_xy(gx, gy):
+            raise NullSide("side p2p3 lies on a null line")
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            raise ValueError(f"components must be finite, got ({fx!r}, {fy!r})")
+        if is_null_xy(fx, fy):
+            raise NullSide("side p1p3 lies on a null line")
         # 2S is the cross of sides p1p2 and p1p3, as in signed_area()
         two_s = ex * fy - ey * fx
         if not math.isfinite(two_s):
@@ -164,16 +173,26 @@ class Triangle(_Value):
         c1, c2, c3 = cosh_e(a1), cosh_e(a2), cosh_e(a3)
         # 2 d_j d_k for each vertex i, with (i, j, k) a cyclic order
         t1, t2, t3 = 2.0 * d2 * d3, 2.0 * d3 * d1, 2.0 * d1 * d2
-        # the argument order of max() decides what a NaN argument gives
+        # each scale is max(1.0, |D1|, |D2|, |D3|, t_i |c_i|), written as the
+        # comparisons max() makes: a NaN never compares greater, so with 1.0
+        # first max() never returned a NaN and the order of the rest did not
+        # matter; the part shared by the three vertices is taken once
+        a1, a2, a3 = abs(D1), abs(D2), abs(D3)
+        m = a1 if a1 > 1.0 else 1.0
+        if a2 > m:
+            m = a2
+        if a3 > m:
+            m = a3
+        n1, n2, n3 = t1 * abs(c1), t2 * abs(c2), t3 * abs(c3)
         cos_res = (
-            abs(D1 - (D2 + D3 - t1 * c1)) / max(1.0, abs(D1), abs(D2), abs(D3), t1 * abs(c1)),
-            abs(D2 - (D3 + D1 - t2 * c2)) / max(1.0, abs(D2), abs(D3), abs(D1), t2 * abs(c2)),
-            abs(D3 - (D1 + D2 - t3 * c3)) / max(1.0, abs(D3), abs(D1), abs(D2), t3 * abs(c3)),
+            abs(D1 - (D2 + D3 - t1 * c1)) / (n1 if n1 > m else m),
+            abs(D2 - (D3 + D1 - t2 * c2)) / (n2 if n2 > m else m),
+            abs(D3 - (D1 + D2 - t3 * c3)) / (n3 if n3 > m else m),
         )
         proj_res = (
-            abs(d1 - abs(d2 * c3 + d3 * c2)) / max(1.0, d1),
-            abs(d2 - abs(d3 * c1 + d1 * c3)) / max(1.0, d2),
-            abs(d3 - abs(d1 * c2 + d2 * c1)) / max(1.0, d3),
+            abs(d1 - abs(d2 * c3 + d3 * c2)) / (d1 if d1 > 1.0 else 1.0),
+            abs(d2 - abs(d3 * c1 + d1 * c3)) / (d2 if d2 > 1.0 else 1.0),
+            abs(d3 - abs(d1 * c2 + d2 * c1)) / (d3 if d3 > 1.0 else 1.0),
         )
         return cos_res, proj_res
 
@@ -356,7 +375,13 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
     if not q > 0:
         raise Inconsistent("square sides violate the realizability condition Q > 0")
     d2, d3 = math.sqrt(abs(D2)), math.sqrt(abs(D3))
-    c1 = (D2 + D3 - D1) / (2.0 * d2 * d3)
+    num, den = D2 + D3 - D1, 2.0 * d2 * d3
+    if not (abs(num) < math.inf and den < math.inf):
+        # near the largest double the sum or 2 d2 d3 overflows, and an inf den
+        # alone would give a wrong c1 = 0.  c1 is scale-free, and on the D
+        # scaled by 1/4, whose moduli are exactly d/2, neither overflows
+        num, den = D2 / 4.0 + D3 / 4.0 - D1 / 4.0, 0.5 * d2 * d3
+    c1 = num / den
     # compared by sign: the product D2 * D3 can underflow to zero
     kappa = 1.0 if (D2 > 0) == (D3 > 0) else -1.0
     s1_sq = c1 * c1 - kappa

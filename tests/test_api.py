@@ -1,8 +1,8 @@
 """The package root re-exports exactly what ``__all__`` lists, each public name is
 declared once, in the ``__all__`` of the module that defines it, nothing is defined
 unread, there is one type per shape of record, only ``_value._rebuild`` sets a slot
-through ``object.__setattr__``, and importing the CLI loads neither ``dataclasses`` nor
-``inspect``."""
+through ``object.__setattr__``, importing the CLI loads neither ``dataclasses`` nor
+``inspect``, and the forward-path kernels compare instead of calling ``min`` or ``max``."""
 from __future__ import annotations
 
 import ast
@@ -142,6 +142,46 @@ def test_no_function_body_reads_a_klein_member_through_the_class():
                           if isinstance(inner, ast.Attribute) and inner.attr in members
                           and isinstance(inner.value, ast.Name)
                           and inner.value.id == "KleinIndex"}
+    assert not found, sorted(found)
+
+
+# the forward-path kernels, by module and qualified name
+COMPARING_KERNELS = {
+    "angle.py": {"KleinIndex.__mul__", "cosh_sinh", "_from_null_coords", "from_point"},
+    "hypnum.py": {"_angle_of"},
+    "tol.py": {"rescaled", "is_null_xy"},
+    "triangle.py": {"Triangle.__post_init__", "Triangle.elements",
+                    "Triangle.law_of_sines_residual", "Triangle.law_of_cosines_check"},
+    "hyperbola.py": {"circumscribed"},
+    "selftest.py": {"_check_circum"},
+}
+
+
+def test_forward_path_kernels_compare_instead_of_calling_min_or_max():
+    # on CPython 3.11 min(a, b) costs several times b if b < a else a, a
+    # lookup on a tuple key builds and hashes the tuple, and a loop over a
+    # tuple display builds it on every call; these kernels run thousands of
+    # times per run_selftest
+    found, seen = set(), set()
+    for name, kernels in COMPARING_KERNELS.items():
+        tree = ast.parse((PACKAGE / name).read_text())
+        scopes = [("", node) for node in tree.body]
+        scopes += [(f"{node.name}.", inner) for node in tree.body if isinstance(node, ast.ClassDef)
+                   for inner in node.body]
+        for prefix, node in scopes:
+            if not (isinstance(node, ast.FunctionDef) and prefix + node.name in kernels):
+                continue
+            seen.add(f"{name}:{prefix}{node.name}")
+            # the body alone: an annotation such as tuple[float, float] runs once
+            for inner in [inner for stmt in node.body for inner in ast.walk(stmt)]:
+                if (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+                        and inner.func.id in ("min", "max")):
+                    found.add(f"{name}:{inner.lineno} calls {inner.func.id}")
+                if isinstance(inner, ast.Subscript) and isinstance(inner.slice, ast.Tuple):
+                    found.add(f"{name}:{inner.lineno} looks up a tuple key")
+                if isinstance(inner, ast.For) and isinstance(inner.iter, (ast.Tuple, ast.List)):
+                    found.add(f"{name}:{inner.lineno} loops over a display")
+    assert seen == {f"{name}:{k}" for name, kernels in COMPARING_KERNELS.items() for k in kernels}
     assert not found, sorted(found)
 
 

@@ -119,6 +119,31 @@ def test_containment_is_scale_free(s):
     assert not line.contains(P(s, 0.4 * s))
 
 
+def test_containment_near_the_largest_double():
+    # |p| + |anchor| overflows: an infinite scale let every point in
+    line = PELine(P(1.5e308, 0.0), H(1.0, 0.0))
+    assert not line.contains(P(1.5e308, 1e306))
+    assert line.contains(P(1.7e308, 0.0))
+    # p - anchor overflows: forming it as a number raised ValueError
+    line = PELine(P(-1e308, 0.0), H(1.0, 0.0))
+    assert line.contains(P(1e308, 0.0))
+    assert not line.contains(P(1e308, 1e306))
+    # all four coordinates are large: on halves their sum, 2.25e308, still overflows
+    line = PELine(P(-1.5e308, -1.5e308), H(2.0, 1.0))
+    assert line.contains(P(1.5e308, 0.0))
+    assert not line.contains(P(1.5e308, 1e306))
+
+
+@pytest.mark.parametrize("k", [-600, -1, 0, 1, 600, 1023])
+def test_containment_verdict_is_the_same_at_every_power_of_two(k):
+    # scaling the point and the line by 2^k changes neither verdict, also where
+    # the sum of the coordinates overflows (k = 1023: 2.25 * 2^1023)
+    s = math.ldexp(1.0, k)
+    line = PELine(P(-0.75 * s, -0.75 * s), H(2.0, 1.0))
+    assert line.contains(P(0.75 * s, 0.0))
+    assert not line.contains(P(0.75 * s, 0.002 * s))
+
+
 def test_vertical_line_has_no_slope_form():
     line = PELine(P(2, 0), H(0.0, 1.0))
     assert line.contains(P(2, 57.0))

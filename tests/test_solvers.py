@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh
@@ -313,12 +314,37 @@ def test_sss_rejects_null_side():
 
 
 def test_sss_whose_cosine_overflows_is_inconsistent():
-    # (D2 + D3 - D1) / (2 d2 d3) is inf / inf here, although Q = 5e616 > 0
+    # (D2 + D3 - D1) / (2 d2 d3) = 1e300 fits, but its square does not, so
+    # the direction (c1, s1) cannot be placed, although Q = 4e600 > 0
     with pytest.raises(Inconsistent, match="degenerate figure"):
-        solve_sss(-1e308, 1e308, 1e308)
+        solve_sss(-1e300, 1e300, 1e-300)
     # equal positive sides have Q < 0, which the exact sign test sees first
     with pytest.raises(Inconsistent, match="realizability condition"):
         solve_sss(1e308, 1e308, 1e308)
+
+
+@pytest.mark.parametrize("D", [
+    (-1e308, 1e308, 1e308),    # D2 + D3 - D1 and 2 d2 d3 overflow: c1 was inf / inf
+    (1e308, 1.5e308, -1e308),  # only 2 d2 d3 overflows: c1 was 0, and D1 came out 5e307
+    (1.5e308, 1e308, -1e308),
+    (-1e307, 1.5e308, 1.5e308),
+])
+def test_sss_near_the_largest_double_matches_oracle(D):
+    # c1 is formed on the D scaled by 1/4; the vertices are within the oracle
+    # bound of test_oracle.test_sss_vertex_matches_oracle, 4 u cond
+    tri = solve_sss(*D)
+    with mpmath.workprec(200):
+        D1, D2, D3 = (mpmath.mpf(v) for v in D)
+        d2, d3 = mpmath.sqrt(abs(D2)), mpmath.sqrt(abs(D3))
+        kappa = 1 if (D2 > 0) == (D3 > 0) else -1
+        c1 = (D2 + D3 - D1) / (2 * d2 * d3)
+        s1 = mpmath.sqrt(c1 * c1 - kappa)
+        p2, p3 = ((d3, 0), (d2 * c1, d2 * s1)) if D3 > 0 else ((0, -d3), (d2 * s1, d2 * c1))
+        cond = (abs(D1) + abs(D2) + abs(D3)) / abs(D2 + D3 - D1) * (1 + c1 * c1 / (s1 * s1))
+        assert tri.p1 == _ORIGIN
+        assert (tri.p2.x, tri.p2.y) == (float(p2[0]), float(p2[1]))
+        err = mpmath.hypot(tri.p3.x - p3[0], tri.p3.y - p3[1])
+        assert err <= 4 * 2.0 ** -53 * cond * mpmath.hypot(*p3)
 
 
 @pytest.mark.parametrize("D, realizable", [
