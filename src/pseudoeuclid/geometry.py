@@ -121,25 +121,30 @@ class PELine(_Value):
         to the y axis for second-kind ones."""
         return _angle.from_point(self.direction.x, self.direction.y).theta
 
+    def _defect(self, p: PointP) -> tuple[float, float, float]:
+        # residual(p), and the cross and the scale |p| + |anchor| that contains
+        # compares, both on the coordinates as scaled.  Near the largest double
+        # the scale, and so p - anchor, overflows; both are homogeneous in p and
+        # the anchor, and on their quarters neither overflows (on halves, as
+        # segment_kind takes, the sum can), so the cross is multiplied back by 4
+        px, py, ax, ay, f = p.x, p.y, self.anchor.x, self.anchor.y, 1.0
+        scale = abs(px) + abs(py) + abs(ax) + abs(ay)
+        if scale == math.inf:
+            px, py, ax, ay, f = px / 4.0, py / 4.0, ax / 4.0, ay / 4.0, 4.0
+            scale = abs(px) + abs(py) + abs(ax) + abs(ay)
+        cross = (px - ax) * self.direction.y - (py - ay) * self.direction.x
+        return f * cross, cross, scale
+
     def residual(self, p: PointP) -> float:
         """Signed incidence defect: the cross term of (p - anchor) with the direction."""
-        return _cross(displacement(self.anchor, p), self.direction)
+        return self._defect(p)[0]
 
     def contains(self, p: PointP) -> bool:
         """True when |residual(p)| <= INCIDENCE_TOL (|px| + |py| + |ax| + |ay|) |e|,
         with a the anchor and e the direction: scale-free, so a point and a line
         scaled together get the same verdict at every magnitude."""
-        px, py, ax, ay = p.x, p.y, self.anchor.x, self.anchor.y
-        scale = abs(px) + abs(py) + abs(ax) + abs(ay)
-        if scale == math.inf:
-            # near the largest double the sum, and so p - anchor, overflows.  The
-            # verdict is homogeneous in p and the anchor, and on their quarters
-            # neither overflows (on halves, as segment_kind takes, the sum can)
-            px, py, ax, ay = px / 4.0, py / 4.0, ax / 4.0, ay / 4.0
-            scale = abs(px) + abs(py) + abs(ax) + abs(ay)
-        # residual(p), on the coordinates as scaled
-        e = self.direction
-        return abs((px - ax) * e.y - (py - ay) * e.x) <= INCIDENCE_TOL * scale * _euclid_norm(e)
+        _, cross, scale = self._defect(p)
+        return abs(cross) <= INCIDENCE_TOL * scale * _euclid_norm(self.direction)
 
     def slope_intercept(self) -> tuple[float, float]:
         """(m, q) with y = m x + q; fails for vertical lines."""

@@ -176,10 +176,10 @@ def angle_between(v1: HyperbolicNumber, v2: HyperbolicNumber) -> ExtendedAngle:
 def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
     # the angle from (x1, y1) to (x2, y2); both must be finite and non-null
     u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
-    # the pair is ((u + w)/2, (u - w)/2): with u and w inside the band of
-    # tol.is_null_xy no product overflowed or lost precision to underflow
+    # the pair is ((u + w)/2, (u - w)/2): with u and w inside the band
+    # (2^-900, 2^900) no product overflowed or lost precision to underflow,
+    # and outside it each vector is rescaled by a power of two
     if not (2.0 ** -900 < abs(u) < 2.0 ** 900 and 2.0 ** -900 < abs(w) < 2.0 ** 900):
-        x1, y1, _ = rescaled(x1, y1)
-        x2, y2, _ = rescaled(x2, y2)
+        (x1, y1, _), (x2, y2, _) = rescaled(x1, y1), rescaled(x2, y2)
         u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
     return _angle._from_null_coords(x1 * x2 - y1 * y2, x1 * y2 - y1 * x2, u, w)

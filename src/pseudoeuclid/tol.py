@@ -1,12 +1,12 @@
-"""Tolerance policy and the one canonical quadratic form x^2 - y^2.
+"""Tolerance policy and the one quadratic form D = x^2 - y^2 = u w, on the
+null coordinates u = x + y and w = x - y.
 
-Every null test in the package but one goes through ``is_null_xy`` so the
-policy is scale invariant: a vector counts as null when
-|x^2 - y^2| <= eps * (x^2 + y^2).  The exception, ``angle.circle_map``, tests
-|cos 2 phi| <= eps directly, which is the same criterion applied to the unit
-vector (cos phi, sin phi).
-The threshold is process-global and can be changed (the CLI reads it from the
-PSEUDOEUCLID_EPS environment variable).
+Every null test in the package but one goes through ``is_null_xy``, so the
+policy is scale invariant: a vector counts as null when |x^2 - y^2| <=
+eps (x^2 + y^2), that is |u w| <= eps (u^2 + w^2) / 2.  The exception,
+``angle.circle_map``, tests |cos 2 phi| <= eps directly: the same criterion
+on the unit vector (cos phi, sin phi).  The threshold is process-global and
+can be changed (the CLI reads it from the PSEUDOEUCLID_EPS variable).
 """
 from __future__ import annotations
 
@@ -32,12 +32,9 @@ def set_null_eps(value: float) -> None:
 
 
 def quadratic_form(x: float, y: float) -> float:
-    """The invariant x*x - y*y.
-
-    This exact expression is the only square-module formula in the package;
-    factored variants like (x-y)*(x+y) round differently and are not used.
-    """
-    return x * x - y * y
+    """The invariant x^2 - y^2 as the paper's D = u w, the one square-module formula:
+    the product cancels nothing, so it is within 3 u wherever no sum overflows and D is normal."""
+    return (x - y) * (x + y)
 
 
 def rescaled(x: float, y: float) -> tuple[float, float, int]:
@@ -50,13 +47,13 @@ def rescaled(x: float, y: float) -> tuple[float, float, int]:
 
 
 def is_null_xy(x: float, y: float) -> bool:
-    """Scale-invariant test for membership of the lines y = +-x.
-
-    The verdict is the same at every magnitude; the zero vector counts as null.
-    """
-    n = x * x + y * y
-    # outside this band a square overflowed or lost precision to underflow
-    if not 2.0 ** -900 < n < 2.0 ** 900:
-        x, y, _ = rescaled(x, y)
-        n = x * x + y * y
-    return abs(quadratic_form(x, y)) <= _null_eps * n
+    """Scale-invariant test for membership of the lines y = +-x.  With t = min/max of
+    |u| and |w|, the policy over the larger square is 2 t <= eps (1 + t^2): no coordinate
+    is squared, so the verdict holds at every magnitude; the zero vector counts as null."""
+    u, w = abs(x + y), abs(x - y)
+    # where a sum overflows, the halves give the same t
+    if u == math.inf or w == math.inf:
+        u, w = abs(x / 2.0 + y / 2.0), abs(x / 2.0 - y / 2.0)
+    # the zero vector has t = 0; a NaN coordinate gives t = NaN, never null
+    t = u / w if u < w else w / u if u != 0.0 else 0.0
+    return 2.0 * t <= _null_eps * (1.0 + t * t)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,7 +234,18 @@ def test_classify_point_on_null_line_at_large_scale(capsys):
     data = strict_json(out)
     assert data["sector"] == "null+"
     assert data["theta"] is None and data["k"] is None
+    # D = (x - y)(x + y) is exactly 0 here; x*x - y*y was inf - inf
+    assert data["D"] == 0.0
+
+
+def test_classify_point_whose_D_does_not_fit_prints_null(capsys):
+    # the true D = 1e400 is beyond the largest double: inf, printed as JSON null
+    code, out, _ = run_cli(capsys, "classify", "--point", "1e200,0")
+    assert code == 0
+    data = strict_json(out)
+    assert data["sector"] == "Right"
     assert data["D"] is None
+    assert data["rho"] == 1e200
 
 
 @pytest.mark.parametrize("point", ["1.7e308,1e308", "1e308,-1.7e308"])
@@ -353,26 +366,23 @@ def test_subprocess_determinism():
     assert first.stdout == second.stdout
 
 
-README_EXAMPLES = [
-    (["classify", "--point", "5,3"],
-     '{\n  "D": 16.0,\n  "k": "+1",\n  "rho": 4.0,\n  "sector": "Right",\n'
-     '  "theta": 0.6931471805599453,\n  "x": 5.0,\n  "y": 3.0\n}\n'),
-    (["solve", "ssa", "--theta1", "atanh(0.6),+1", "--D1", "-9", "--D3", "25",
-      "--format", "csv"],
-     "p1x,p1y,p2x,p2y,p3x,p3y,D1,D2,D3,d1,d2,d3,theta1,k1,theta2,k2,theta3,k3,S\n"
-     "0,0,5,0,5,3,-9,16,25,3,4,5,0.69314718055994529,+1,-0,+h,"
-     "-0.69314718055994529,+h,7.5\n"
-     "0,0,5,0,10.625,6.375,-9,72.25,25,3,8.5,5,0.69314718055994529,+1,"
-     "-1.3862943611198906,+h,0.69314718055994529,+h,15.9375\n"),
-    (["circumhyperbola", "--vertices", "0,0", "5,0", "5,3"],
-     '{\n  "P": 4.0,\n  "cx": 2.5,\n  "cy": 1.5,\n  "kind": "second",\n  "p": 2.0\n}\n'),
-    (["classify", "--segment", "-1,0", "2,1"],
-     '{\n  "D": 8.0,\n  "d": 2.8284271247461903,\n  "segment_kind": "first",\n'
-     '  "x1": -1.0,\n  "x2": 2.0,\n  "y1": 0.0,\n  "y2": 1.0\n}\n'),
-]
+def readme_examples() -> list[tuple[list[str], str]]:
+    """The ``$ pseudoeuclid ...`` commands of README.md, each with the lines
+    shown under it up to a blank line or the end of the block; a command shown
+    without output is left out."""
+    cases, out = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("$ pseudoeuclid "):
+            out = []
+            cases.append((shlex.split(line[2:], comments=True)[1:], out))
+        elif line.startswith("```") or not line.strip():
+            out = None
+        elif out is not None:
+            out.append(line)
+    return [(argv, "\n".join(lines) + "\n") for argv, lines in cases if lines]
 
 
-@pytest.mark.parametrize("argv, expected", README_EXAMPLES,
+@pytest.mark.parametrize("argv, expected", readme_examples(),
                          ids=["classify", "solve-ssa-csv", "circumhyperbola", "classify-negative"])
 def test_readme_examples_byte_for_byte(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)

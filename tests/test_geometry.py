@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex
@@ -132,6 +132,28 @@ def test_containment_near_the_largest_double():
     line = PELine(P(-1.5e308, -1.5e308), H(2.0, 1.0))
     assert line.contains(P(1.5e308, 0.0))
     assert not line.contains(P(1.5e308, 1e306))
+
+
+def test_residual_near_the_largest_double():
+    # p - anchor overflows: forming it as a number raised ValueError.  On the
+    # quarters it fits, and the cross comes back multiplied by 4
+    line = PELine(P(-1e308, 0.0), H(1.0, 0.0))
+    assert line.residual(P(1e308, 0.0)) == 0.0
+    assert line.residual(P(1e308, 1e308)) == -1e308
+    # a residual whose true value does not fit a double is inf
+    assert PELine(P(-1e308, 0.0), H(0.0, 1.0)).residual(P(1e308, 0.0)) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(-1e300, 1e300)] * 4), st.floats(-2.0, 2.0))
+def test_residual_in_range_is_the_cross_of_the_displacement(coords, slope):
+    # where |p| + |anchor| fits, residual is the cross of p - anchor with the
+    # direction, bit for bit (float.hex tells the zeros apart)
+    ax, ay, px, py = coords
+    assume(abs(px) + abs(py) + abs(ax) + abs(ay) < math.inf and abs(slope) != 1.0)
+    line, p = PELine(P(ax, ay), H(1.0, slope)), P(px, py)
+    d, e = displacement(line.anchor, p), line.direction
+    assert line.residual(p).hex() == (d.x * e.y - d.y * e.x).hex()
 
 
 @pytest.mark.parametrize("k", [-600, -1, 0, 1, 600, 1023])

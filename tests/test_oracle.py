@@ -1,6 +1,7 @@
-"""Angles, extended cosh/sinh pairs, square sides, areas, circumscribed
-hyperbolas, solver vertices and solver verdicts checked against a
-high-precision mpmath oracle.
+"""Angles, extended cosh/sinh pairs, the quadratic form, square sides, areas,
+circumscribed hyperbolas, solver vertices and solver verdicts checked against
+a high-precision mpmath oracle, and null verdicts against the null policy in
+exact rational arithmetic.
 
 The oracle takes the exact double inputs, forms the invariant pair in
 extended precision and recovers the angle with atanh on whichever ratio is
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid import angle
@@ -31,7 +33,7 @@ from pseudoeuclid.errors import NullDirection, PseudoEuclidError
 from pseudoeuclid.geometry import PARALLEL_TOL, PointP
 from pseudoeuclid.hyperbola import circumscribed
 from pseudoeuclid.selftest import random_triangle
-from pseudoeuclid.tol import is_null_xy, null_eps
+from pseudoeuclid.tol import DEFAULT_NULL_EPS, is_null_xy, null_eps, quadratic_form, set_null_eps
 from pseudoeuclid.triangle import Triangle, realizability, solve_asa, solve_sas, solve_sss, solve_ssa
 
 ALL_KS = (KleinIndex.P1, KleinIndex.H, KleinIndex.M1, KleinIndex.MH)
@@ -110,6 +112,67 @@ def test_from_point_near_the_null_lines_matches_oracle(log_delta, swap, sx, sy, 
         want, want_k = oracle_angle(mpmath.mpf(x), mpmath.mpf(y))
         assert got.k is want_k
         assert abs(got.theta - want) <= 1e-14 * abs(want)
+
+
+@given(st.floats(math.log(1e-14), 0.0), st.floats(1.0, 2.0), st.booleans(),
+       st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0)), st.integers(-500, 500))
+@example(math.log(1e-14), 1.0, False, 1.0, 1.0, 0)
+@settings(max_examples=1000, deadline=None)
+def test_quadratic_form_is_within_3_u_of_the_oracle(log_delta, m, swap, sx, sy, k):
+    # the pair (m, m (1 - delta)), delta log-uniform in 1e-14..1, in every sign
+    # and swap image and scaled by 2^k: x*x - y*y cancels near the null lines,
+    # the product of the null coordinates rounds three times and cancels nothing
+    a, b = math.ldexp(sx * m, k), math.ldexp(sy * m * (1.0 - math.exp(log_delta)), k)
+    x, y = (b, a) if swap else (a, b)
+    with mpmath.workprec(PREC):
+        want = mpmath.mpf(x) ** 2 - mpmath.mpf(y) ** 2
+        assume(want == 0 or abs(want) >= sys.float_info.min)
+        got = quadratic_form(x, y)
+        assert abs(got - want) <= 3 * U * abs(want)
+
+
+def exact_null(x: float, y: float) -> bool:
+    """The null policy |x^2 - y^2| <= eps (x^2 + y^2) in exact arithmetic."""
+    X, Y = Fraction(x), Fraction(y)
+    return abs(X * X - Y * Y) <= Fraction(null_eps()) * (X * X + Y * Y)
+
+
+@pytest.mark.parametrize("eps", [DEFAULT_NULL_EPS, 1e-2])
+def test_null_verdicts_match_the_exact_policy_at_the_boundary(eps):
+    # on the line y = x the policy reads 2 t <= eps (1 + t^2) with t = (x - y)/(x + y);
+    # each draw puts t within 1e-3 of its root r, at scales 2^k from subnormal
+    # to near the largest double, in all four sign images of (x, y)
+    rng = random.Random(19)
+    r = eps / (1.0 + math.sqrt(1.0 - eps * eps))
+    before = null_eps()
+    try:
+        set_null_eps(eps)
+        for _ in range(5000):
+            t = r * (1.0 + rng.uniform(-1e-3, 1e-3))
+            x = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1060, 1022))
+            y = x * ((1.0 - t) / (1.0 + t))
+            for sx, sy in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+                assert is_null_xy(sx * x, sy * y) == exact_null(sx * x, sy * y), (sx * x, sy * y)
+    finally:
+        set_null_eps(before)
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.0, 1e3])
+def test_every_vector_is_null_from_eps_one(eps):
+    # |x^2 - y^2| <= x^2 + y^2 always, so from eps = 1 the policy accepts everything
+    rng = random.Random(23)
+    before = null_eps()
+    try:
+        set_null_eps(eps)
+        pairs = [(1.0, 0.0), (0.0, -1.0), (5e-324, 0.0), (1.7e308, -1e308)]
+        for _ in range(1000):
+            pairs.append(tuple(math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-1070, 1022))
+                               for _ in range(2)))
+        for x, y in pairs:
+            assert exact_null(x, y)
+            assert is_null_xy(x, y), (x, y)
+    finally:
+        set_null_eps(before)
 
 
 def test_triangle_angles_match_oracle():
