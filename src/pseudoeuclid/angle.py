@@ -139,33 +139,41 @@ def sinh_e(a: ExtendedAngle) -> float:
     return cosh_sinh(a)[1]
 
 
-def _from_null_coords(c: float, s: float, u: float, w: float) -> ExtendedAngle:
-    # (c, s) is a non-null direction and u = c + s, w = c - s its null
-    # coordinates, each formed without cancellation.  The larger of |u|, |w|
-    # exceeds the smaller by 2 min(|c|, |s|), so log1p of that excess keeps
-    # full relative accuracy down to tiny theta, where 1/2 log|u/w| would not.
-    # Each min() is written as the comparison it makes: the call costs several
-    # times as much on this path, which runs for every angle.
-    ac, as_, au, aw = abs(c), abs(s), abs(u), abs(w)
+def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
+    # The one angle kernel, shared by from_point, hypnum.angle_between and
+    # Triangle.elements(): the angle from (x1, y1) to (x2, y2), both finite
+    # and non-null.  (c, s) = (x1 x2 - y1 y2, x1 y2 - y1 x2) is the component
+    # pair of v2 * conj(v1), and its null coordinates u = c + s, w = c - s
+    # factor as (x2 + y2)(x1 - y1) and (x2 - y2)(x1 + y1), so they are formed
+    # without cancellation.  With u, w, c and s above 2^-900 and u, w below
+    # 2^900 no product overflowed or lost precision to underflow.  Elsewhere
+    # each vector is scaled by a power of two, which keeps the angle, to a
+    # larger component in [2^448, 2^449): no product overflows, and a
+    # component loses bits only below 2^-1470 of the larger, too little to
+    # move theta.  Scaled toward 1, a component below 2^-1022 of the larger
+    # would lose bits that a subnormal theta keeps.
+    u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
+    c, s = x1 * x2 - y1 * y2, x1 * y2 - y1 * x2
+    au, aw, ac, as_ = abs(u), abs(w), abs(c), abs(s)
+    if not (2.0 ** -900 < au < 2.0 ** 900 and 2.0 ** -900 < aw < 2.0 ** 900
+            and 2.0 ** -900 < ac and 2.0 ** -900 < as_):
+        (x1, y1, _), (x2, y2, _) = rescaled(x1, y1, 449), rescaled(x2, y2, 449)
+        u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
+        c, s = x1 * x2 - y1 * y2, x1 * y2 - y1 * x2
+        au, aw, ac, as_ = abs(u), abs(w), abs(c), abs(s)
     theta = 0.5 * math.log1p(2.0 * (as_ if as_ < ac else ac) / (aw if aw < au else au))
     return ExtendedAngle(math.copysign(theta, c * s), _BY_SIGNS[u > 0][w > 0])
 
 
 def from_point(x: float, y: float) -> ExtendedAngle:
-    """Extended angle of the direction (x, y).
+    """Extended angle of the direction (x, y), the angle from +1 to (x, y).
 
     Raises NullDirection when (x, y) lies on y = +-x within tolerance (the
     origin included).  The index is the sign pair of x + y and x - y.
     """
     if is_null_xy(x, y):
         raise NullDirection(f"({x}, {y}) has no extended angle")
-    u, w = x + y, x - y
-    # the angle does not depend on the scale: where a sum overflows, use a
-    # copy scaled by a power of two
-    if not (math.isfinite(u) and math.isfinite(w)):
-        x, y, _ = rescaled(x, y)
-        u, w = x + y, x - y
-    return _from_null_coords(x, y, u, w)
+    return _angle_of(1.0, 0.0, x, y)
 
 
 def add_angles(a: ExtendedAngle, b: ExtendedAngle) -> ExtendedAngle:

@@ -77,8 +77,16 @@ class EquilateralHyperbola(_Value):
 
     def contains(self, point: PointP) -> bool:
         dx, dy = point.x - self.center.x, point.y - self.center.y
-        residual = quadratic_form(dx, dy) - self.P
-        return abs(residual) <= CONTAINS_TOL * (abs(self.P) + dx * dx + dy * dy)
+        P = self.P
+        bound = CONTAINS_TOL * (abs(P) + dx * dx + dy * dy)
+        if bound == math.inf:
+            # a square or the difference overflowed, and every point would
+            # pass: test the difference of the halves, which fits, and P, both
+            # scaled by one power of two
+            dx, dy, s = rescaled(point.x / 2.0 - self.center.x / 2.0, point.y / 2.0 - self.center.y / 2.0)
+            P = math.ldexp(P, 2 * s - 2)
+            bound = CONTAINS_TOL * (abs(P) + dx * dx + dy * dy)
+        return abs(quadratic_form(dx, dy) - P) <= bound
 
     def _require(self, point: PointP, name: str) -> HyperbolicNumber:
         if not self.contains(point):

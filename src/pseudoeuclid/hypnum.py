@@ -13,7 +13,7 @@ from numbers import Real
 
 from . import angle as _angle
 from ._value import _Value, _setters
-from .angle import ExtendedAngle
+from .angle import ExtendedAngle, _angle_of
 from .errors import InvalidInput, NonPositiveRho, NullDirection, NullDivisor
 from .tol import is_null_xy, quadratic_form, rescaled
 
@@ -157,29 +157,12 @@ def angle_between(v1: HyperbolicNumber, v2: HyperbolicNumber) -> ExtendedAngle:
     """Extended angle carried by the invariant pair of two non-null vectors.
 
     The pair (x1 x2 - y1 y2, x1 y2 - x2 y1) is the component pair of
-    v2 * conj(v1), whose angle is the angle of v2 as seen from v1.  Its null
-    coordinates factor as (x2 + y2)(x1 - y1) and (x2 - y2)(x1 + y1), so they
-    are formed without cancellation and need no normalization.  The angle does
-    not depend on either vector's positive scale, so where these products
-    overflow or underflow they are formed again on each vector rescaled by a
-    power of two.
-
-    This is the null test followed by the one angle kernel, which
-    ``Triangle.elements()`` calls directly on coordinates it has already
-    tested.
+    v2 * conj(v1), whose angle is the angle of v2 as seen from v1; it does not
+    depend on either vector's positive scale.  This is the null test followed
+    by the one angle kernel, ``angle._angle_of``, which ``angle.from_point``
+    shares and ``Triangle.elements()`` calls directly on coordinates it has
+    already tested.
     """
     if v1.is_null() or v2.is_null():
         raise NullDirection("angle between null vectors is undefined")
     return _angle_of(v1.x, v1.y, v2.x, v2.y)
-
-
-def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
-    # the angle from (x1, y1) to (x2, y2); both must be finite and non-null
-    u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
-    # the pair is ((u + w)/2, (u - w)/2): with u and w inside the band
-    # (2^-900, 2^900) no product overflowed or lost precision to underflow,
-    # and outside it each vector is rescaled by a power of two
-    if not (2.0 ** -900 < abs(u) < 2.0 ** 900 and 2.0 ** -900 < abs(w) < 2.0 ** 900):
-        (x1, y1, _), (x2, y2, _) = rescaled(x1, y1), rescaled(x2, y2)
-        u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
-    return _angle._from_null_coords(x1 * x2 - y1 * y2, x1 * y2 - y1 * x2, u, w)

@@ -34,15 +34,20 @@ def set_null_eps(value: float) -> None:
 def quadratic_form(x: float, y: float) -> float:
     """The invariant x^2 - y^2 as the paper's D = u w, the one square-module formula:
     the product cancels nothing, so it is within 3 u wherever no sum overflows and D is normal."""
-    return (x - y) * (x + y)
+    d = (x - y) * (x + y)
+    # inf * 0, where one null coordinate overflows and the other is exactly 0:
+    # on the halves the product is the exact 0 (and a NaN input stays NaN)
+    if d != d:
+        return 4.0 * ((x / 2.0 - y / 2.0) * (x / 2.0 + y / 2.0))
+    return d
 
 
-def rescaled(x: float, y: float) -> tuple[float, float, int]:
-    """(x * 2**s, y * 2**s, s) with the larger component in [0.5, 1), where no
-    square overflows or underflows; scaling by a power of two is exact."""
+def rescaled(x: float, y: float, e: int = 0) -> tuple[float, float, int]:
+    """(x * 2**s, y * 2**s, s) with the larger component in [2**(e-1), 2**e), by default [0.5, 1)
+    where no square overflows or underflows; exact unless a component falls below 2**-1022."""
     ax, ay = abs(x), abs(y)
     # max(ax, ay) as the comparison it makes, which costs a fraction of the call
-    s = -math.frexp(ay if ay > ax else ax)[1]
+    s = e - math.frexp(ay if ay > ax else ax)[1]
     return math.ldexp(x, s), math.ldexp(y, s), s
 
 

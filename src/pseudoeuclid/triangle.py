@@ -19,11 +19,11 @@ from collections.abc import Iterable
 
 from . import angle as _angle
 from ._value import _Value, _setters
-from .angle import _MH, _P1, ExtendedAngle
+from .angle import _MH, _P1, ExtendedAngle, _angle_of
 from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, ParallelRays
 from .geometry import Motion, PointP, _moved, _negated_product, _parallel
 # angle_between is re-exported: the public angle is reachable from this module too
-from .hypnum import _angle_of, angle_between  # noqa: F401
+from .hypnum import angle_between  # noqa: F401
 from .tol import is_null_xy, quadratic_form, rescaled
 
 __all__ = [

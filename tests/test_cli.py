@@ -248,6 +248,16 @@ def test_classify_point_whose_D_does_not_fit_prints_null(capsys):
     assert data["rho"] == 1e200
 
 
+def test_classify_null_point_whose_null_coordinate_overflows(capsys):
+    # x + y overflows and x - y is 0: D is the exact 0 beside rho = 0, not NaN printed as null
+    code, out, _ = run_cli(capsys, "classify", "--point", "1e308,1e308")
+    assert code == 0
+    data = strict_json(out)
+    assert data["sector"] == "null+"
+    assert data["D"] == 0.0
+    assert data["rho"] == 0.0
+
+
 @pytest.mark.parametrize("point", ["1.7e308,1e308", "1e308,-1.7e308"])
 def test_classify_point_whose_null_coordinate_overflows(capsys, point):
     # x + y or x - y overflows a double; the angle is that of the point / 4

@@ -49,6 +49,11 @@ def test_square_distance_and_kinds():
     assert segment_kind(P(1, 1), P(4, 4)) is SegmentKind.NULL
 
 
+def test_square_distance_of_a_null_segment_whose_sum_overflows():
+    # dx = dy = 1.1e308: dx + dy overflows and dx - dy is 0, so D is the exact 0
+    assert square_distance(P(-1e308, -1e308), P(1e307, 1e307)) == 0.0
+
+
 def test_midpoint():
     assert midpoint(P(0, 0), P(4, 6)) == P(2, 3)
 

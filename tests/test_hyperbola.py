@@ -6,7 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, sinh_e
@@ -300,6 +300,64 @@ def test_circumscribed_square_radius_whose_squares_overflow(t1, t2, t3):
     fx, fy = Fraction(dx), Fraction(dy)
     assert abs(Fraction(hyp.P) - (fx * fx - fy * fy)) <= 8 * Fraction(2) ** -53 * (fx * fx + fy * fy)
     assert hyp.P == pytest.approx(r * r, rel=1e-10)
+
+
+def overflowing_squares_hyperbola():
+    # the P = 4e306 hyperbola of the test above, with t = (3.0, 3.3, 2.7)
+    r = 2e153
+    cx, cy = -r * math.cosh(3.0), -r * math.sinh(3.0)
+    tri = Triangle(P(0.0, 0.0), *(P(cx + r * math.cosh(t), cy + r * math.sinh(t)) for t in (3.3, 2.7)))
+    return circumscribed(tri), tri
+
+
+@pytest.mark.parametrize("hyp, point", [
+    (EquilateralHyperbola(P(0.0, 0.0), 1e300), P(1e200, 0.0)),     # D = 1e400 overflows
+    (EquilateralHyperbola(P(-1e308, 0.0), 1e300), P(1e308, 0.0)),  # dx = 2e308 overflows
+    (overflowing_squares_hyperbola()[0], P(1e300, 5.0)),
+    (overflowing_squares_hyperbola()[0], P(-1e155, 0.0)),
+])
+def test_contains_refuses_points_whose_squares_overflow(hyp, point):
+    # the bound on the residual overflowed to inf and every point passed
+    assert not hyp.contains(point)
+    with pytest.raises(NotOnHyperbola):
+        hyp.param_of(point)
+
+
+def test_contains_accepts_points_whose_squares_overflow():
+    hyp, tri = overflowing_squares_hyperbola()
+    vertices = (hyp.center + P(hyp.p, 0.0), hyp.center - P(hyp.p, 0.0))
+    assert all(hyp.contains(v) for v in tri.vertices + vertices)
+    big = EquilateralHyperbola(P(0.0, 0.0), 1e300)
+    assert big.contains(P(1e150, 0.0))
+    assert not big.contains(P(1e-300, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cx=st.floats(-1e3, 1e3), cy=st.floats(-1e3, 1e3),
+       radius=st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+       arm=st.integers(0, 1),
+       theta=st.one_of(st.floats(-300.0, 300.0), st.floats(200.0, 300.0), st.floats(-300.0, -200.0)),
+       stretch=st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.5, 0.5]),
+       off=st.none() | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(0, 40)),
+       k=st.one_of(st.integers(-500, 500), st.integers(250, 500)))
+@example(cx=1.0, cy=1.0, radius=1e-3, arm=0, theta=0.0, stretch=1.0, off=(1.0, 0.0, 20), k=500)
+def test_contains_gives_one_verdict_at_every_scale(cx, cy, radius, arm, theta, stretch, off, k):
+    # a point of the locus, pushed off it along its radius by the stretch or
+    # anywhere at (a, b) 2^e p from the center, and the same figure scaled by
+    # 2^k; scaling is exact while every value stays a normal double, whether
+    # or not a square overflows
+    hyp = EquilateralHyperbola(P(cx, cy), radius)
+    if off is None:
+        on = hyp.point_at(ExtendedAngle(theta, hyp.arms[arm]))
+        q = P(cx + (on.x - cx) * stretch, cy + (on.y - cy) * stretch)
+    else:
+        a, b, e = off
+        q = P(cx + math.ldexp(a * hyp.p, e), cy + math.ldexp(b * hyp.p, e))
+    values = (cx, cy, q.x, q.y, q.x - cx, q.y - cy)
+    assume(all(v == 0.0 or 2.0 ** -1000 < abs(math.ldexp(v, k)) < 2.0 ** 1000 for v in values))
+    assume(2.0 ** -1000 < abs(math.ldexp(radius, 2 * k)) < 2.0 ** 1000)
+    scaled = EquilateralHyperbola(P(math.ldexp(cx, k), math.ldexp(cy, k)), math.ldexp(radius, 2 * k))
+    assert scaled.contains(P(math.ldexp(q.x, k), math.ldexp(q.y, k))) == hyp.contains(q)
 
 
 # a triangle whose exact P is nonzero and below half the least subnormal, 2^-1075

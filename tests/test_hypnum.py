@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -77,6 +78,12 @@ def test_module_and_null():
     assert H(2.0, 2.0).is_null()
     assert H(0.0, 0.0).is_null()
     assert not H(2.0, 1.999).is_null()
+
+
+@pytest.mark.parametrize("x, y", [(1e308, 1e308), (-1e308, -1e308), (1.7e308, -1.7e308)])
+def test_square_module_where_a_null_coordinate_overflows(x, y):
+    # x + y or x - y overflows and the other is exactly 0: D is the exact 0, not inf * 0
+    assert H(x, y).square_module() == 0.0
 
 
 def test_inverse():
@@ -211,6 +218,24 @@ def test_angle_between_at_extreme_scales(scale):
     got = angle_between(H(scale, 0.3 * scale), H(2.0 * scale, 0.5 * scale))
     assert got.k is want.k
     assert got.theta == pytest.approx(want.theta, rel=1e-15)
+
+
+@pytest.mark.parametrize("v1, v2", [
+    # inside the band of u and w, x1 y2 = 2^-1100 underflowed to 0 and theta with it
+    (H(2.0 ** -500, 0.0), H(2.0 ** -390, 2.0 ** -600)),
+    # beyond the band, with y2 / x2 subnormal: a rescale toward 1 lost bits of y2
+    (H(1.0, 0.0), H(1.5955041715484313e300, -1.1563260349838814e-07)),
+    (H(1.0, 0.0), H(-1.9663702209142544e289, -1.3915620014056064e-31)),
+])
+def test_angle_between_keeps_the_bits_of_tiny_angles(v1, v2):
+    # below 2^-200, theta = atanh(t) is t to the last bit, with t the smaller
+    # of |c| and |s| over the larger, exact in Fraction and rounded once
+    c = Fraction(v1.x) * Fraction(v2.x) - Fraction(v1.y) * Fraction(v2.y)
+    s = Fraction(v1.x) * Fraction(v2.y) - Fraction(v1.y) * Fraction(v2.x)
+    want = float(min(abs(c), abs(s)) / max(abs(c), abs(s)))
+    theta = angle_between(v1, v2).theta
+    assert math.copysign(1.0, theta) == math.copysign(1.0, c * s)
+    assert abs(abs(theta) - want) <= 5e-324
 
 
 def test_angle_between_rejects_null():

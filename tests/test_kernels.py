@@ -12,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex, _from_null_coords, cosh_e
+from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex, _angle_of, cosh_e, from_point
+from pseudoeuclid.errors import NullDirection
 from pseudoeuclid.geometry import PointP
-from pseudoeuclid.tol import is_null_xy, rescaled
+from pseudoeuclid.hypnum import HyperbolicNumber, angle_between
+from pseudoeuclid.tol import is_null_xy, quadratic_form, rescaled
 from pseudoeuclid.triangle import Triangle, TriangleElements, _set_elements
 
 # the sign-pair map and product table as they were built, on tuple keys
@@ -30,8 +32,19 @@ def old_from_null_coords(c: float, s: float, u: float, w: float) -> ExtendedAngl
     return ExtendedAngle(math.copysign(theta, c * s), OLD_BY_SIGNS[(u > 0, w > 0)])
 
 
-def old_rescaled(x: float, y: float) -> tuple[float, float, int]:
-    s = -math.frexp(max(abs(x), abs(y)))[1]
+def old_angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
+    # the (c, s, u, w) that _angle_of forms, handed to the min form
+    u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
+    c, s = x1 * x2 - y1 * y2, x1 * y2 - y1 * x2
+    if not (all(2.0 ** -900 < abs(v) < 2.0 ** 900 for v in (u, w)) and min(abs(c), abs(s)) > 2.0 ** -900):
+        (x1, y1, _), (x2, y2, _) = old_rescaled(x1, y1, 449), old_rescaled(x2, y2, 449)
+        u, w = (x2 + y2) * (x1 - y1), (x2 - y2) * (x1 + y1)
+        c, s = x1 * x2 - y1 * y2, x1 * y2 - y1 * x2
+    return old_from_null_coords(c, s, u, w)
+
+
+def old_rescaled(x: float, y: float, e: int = 0) -> tuple[float, float, int]:
+    s = e - math.frexp(max(abs(x), abs(y)))[1]
     return math.ldexp(x, s), math.ldexp(y, s), s
 
 
@@ -68,20 +81,53 @@ SECTORS = (
     (lambda a, b: (-b, -a), KleinIndex.MH),
 )
 magnitudes = st.floats(min_value=5e-324, max_value=1e300)
+CONJUGATE = {KleinIndex.H: KleinIndex.MH, KleinIndex.MH: KleinIndex.H}
 
 
 @pytest.mark.parametrize("image, k", SECTORS, ids=[k.name for _, k in SECTORS])
 @settings(max_examples=300, deadline=None)
-@given(a=magnitudes, ratio=st.floats(min_value=-1.0, max_value=1.0))
-@example(a=1.0, ratio=0.0)
-@example(a=1.0, ratio=-0.0)
-@example(a=5.0, ratio=0.6)
-def test_from_null_coords_matches_the_min_form(image, k, a, ratio):
-    c, s = image(a, a * ratio)
-    u, w = c + s, c - s
-    if not (math.isfinite(u) and math.isfinite(w)) or is_null_xy(c, s):
+@given(a=magnitudes, ratio=st.floats(min_value=-1.0, max_value=1.0),
+       first=st.sampled_from(SECTORS), b=magnitudes, ratio1=st.floats(min_value=-1.0, max_value=1.0))
+@example(a=1.0, ratio=0.0, first=SECTORS[0], b=1.0, ratio1=0.0)
+@example(a=1.0, ratio=-0.0, first=SECTORS[2], b=1.0, ratio1=-0.0)
+@example(a=5.0, ratio=0.6, first=SECTORS[1], b=1e300, ratio1=0.5)
+def test_angle_of_matches_the_min_form(image, k, a, ratio, first, b, ratio1):
+    (first_image, first_k), (x2, y2) = first, image(a, a * ratio)
+    x1, y1 = first_image(b, b * ratio1)
+    if is_null_xy(x1, y1) or is_null_xy(x2, y2):
         return
-    got, want = _from_null_coords(c, s, u, w), old_from_null_coords(c, s, u, w)
+    got, want = _angle_of(x1, y1, x2, y2), old_angle_of(x1, y1, x2, y2)
+    # v2 * conj(v1): conjugation swaps +h and -h
+    assert got.k is want.k is k * CONJUGATE.get(first_k, first_k)
+    assert bits(got.theta) == bits(want.theta)
+
+
+# doubles whose exponents fall on both sides of the band edges 2^+-900 of
+# _angle_of and of the edges of the doubles, subnormals and zeros included
+mantissas = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
+exponents = st.one_of(st.integers(min_value=-1074, max_value=1024),
+                      st.sampled_from([-1074, -1050, -1022, -901, -900, -899, 899, 900, 901, 1023, 1024]))
+ratios = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                   st.floats(min_value=-1.0, max_value=1.0))
+
+
+@pytest.mark.parametrize("image, k", SECTORS, ids=[k.name for _, k in SECTORS])
+@settings(max_examples=300, deadline=None)
+@given(m=mantissas, e=exponents, ratio=ratios)
+@example(m=0.5, e=1, ratio=-0.0)
+@example(m=0.5, e=-1074, ratio=0.0)
+@example(m=0.75, e=1024, ratio=0.5)
+def test_from_point_is_angle_between_from_plus_one(image, k, m, e, ratio):
+    # the same kernel behind both front ends: equal bytes, signed zeros included
+    a = math.ldexp(m, e)
+    x, y = image(a, a * ratio)
+    try:
+        want = angle_between(HyperbolicNumber(1.0, 0.0), HyperbolicNumber(x, y))
+    except NullDirection:
+        with pytest.raises(NullDirection):
+            from_point(x, y)
+        return
+    got = from_point(x, y)
     assert got.k is want.k is k
     assert bits(got.theta) == bits(want.theta)
 
@@ -99,14 +145,39 @@ entries = st.one_of(specials, any_float)
 
 
 @settings(max_examples=500, deadline=None)
+@given(x=entries, y=entries, e=st.sampled_from([0, 449]))
+@example(x=math.nan, y=1.0, e=0)
+@example(x=1.0, y=math.nan, e=0)
+@example(x=-0.0, y=0.0, e=0)
+@example(x=1e300, y=1e-300, e=449)
+def test_rescaled_matches_the_max_form(x, y, e):
+    # toward 2^449 a component beside a NaN or an inf overflows in both forms
+    def outcome(form):
+        try:
+            got = form(x, y, e)
+        except OverflowError:
+            return "OverflowError"
+        return bits(*got[:2]), got[2]
+    assert outcome(rescaled) == outcome(old_rescaled)
+
+
+@settings(max_examples=500, deadline=None)
 @given(x=entries, y=entries)
-@example(x=math.nan, y=1.0)
-@example(x=1.0, y=math.nan)
-@example(x=-0.0, y=0.0)
-def test_rescaled_matches_the_max_form(x, y):
-    got, want = rescaled(x, y), old_rescaled(x, y)
-    assert bits(*got[:2]) == bits(*want[:2])
-    assert got[2] == want[2]
+@example(x=1e308, y=1e308)
+@example(x=-1e308, y=-1e308)
+@example(x=1.7e308, y=-1.7e308)
+@example(x=math.inf, y=math.inf)
+@example(x=math.nan, y=math.nan)
+def test_quadratic_form_keeps_every_product_that_is_not_nan(x, y):
+    # the product (x - y)(x + y) where it is not NaN, bit for bit; where it is
+    # inf * 0 on finite doubles the exact D is 0, and a NaN input stays NaN
+    got, product = quadratic_form(x, y), (x - y) * (x + y)
+    if product == product:
+        assert bits(got) == bits(product)
+    elif math.isfinite(x) and math.isfinite(y):
+        assert got == 0.0
+    else:
+        assert math.isnan(got)
 
 
 @settings(max_examples=500, deadline=None)
