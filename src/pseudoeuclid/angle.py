@@ -64,7 +64,10 @@ class KleinIndex(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "KleinIndex":
-        return cls(label)
+        try:
+            return cls(label)
+        except ValueError as exc:
+            raise InvalidInput(str(exc)) from None
 
     @property
     def unit(self) -> tuple[float, float]:
@@ -101,9 +104,9 @@ class ExtendedAngle(_Value):
         if type(self.theta) is not float:
             _set_theta(self, float(self.theta))
         if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+            raise InvalidInput(f"theta must be finite, got {self.theta!r}")
         if not isinstance(self.k, KleinIndex):
-            raise ValueError(f"k must be a KleinIndex, got {self.k!r}")
+            raise InvalidInput(f"k must be a KleinIndex, got {self.k!r}")
 
 
 _set_theta, _set_k = _setters(ExtendedAngle)

@@ -11,7 +11,7 @@ import sys
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, PseudoEuclidError
-from .geometry import PointP, segment_kind, square_distance
+from .geometry import PointP, displacement, segment_kind, square_distance
 from .hyperbola import circumscribed
 from .hypnum import classify_sector, euler
 from .selftest import run_selftest
@@ -43,10 +43,7 @@ def _parse_theta(text: str) -> ExtendedAngle:
     head, sep, label = text.rpartition(",")
     if not sep:
         raise InvalidInput(f"angle {text!r} is missing its ,k part")
-    try:
-        k = KleinIndex.from_label(label.strip())
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from exc
+    k = KleinIndex.from_label(label.strip())
     expr = head.strip()
     sign = 1.0
     if expr.startswith(("+", "-")):
@@ -143,9 +140,12 @@ def _cmd_classify(args) -> int:
     else:
         p, q = (_parse_point(t) for t in args.segment)
         D = square_distance(p, q)
+        # d is the module, as rho is, which fits where D overflows or underflows;
+        # it is null where q - p itself does not fit
+        fits = math.isfinite(q.x - p.x) and math.isfinite(q.y - p.y)
         out = {"x1": p.x, "y1": p.y, "x2": q.x, "y2": q.y,
                "segment_kind": segment_kind(p, q).value,
-               "D": D, "d": math.sqrt(abs(D))}
+               "D": D, "d": displacement(p, q).module() if fits else None}
         _emit(out, None, None, args)
     return 0
 
@@ -173,12 +173,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_circumhyperbola(args) -> int:
     p1, p2, p3 = (_parse_point(t) for t in args.vertices)
-    try:
-        tri = Triangle(p1, p2, p3)
-    except ValueError as exc:
-        # a vertex difference that does not fit a double, as in _parse_point
-        raise InvalidInput(str(exc)) from exc
-    hyp = circumscribed(tri)
+    hyp = circumscribed(Triangle(p1, p2, p3))
     out = {"cx": hyp.center.x, "cy": hyp.center.y,
            "P": hyp.P, "p": hyp.p, "kind": hyp.kind}
     _emit(out, None, None, args)

@@ -1,4 +1,5 @@
-"""Exception types for operations that leave the domain of the algebra."""
+"""Exception types for operations that leave the domain of the algebra: every refusal
+the package raises is a ``PseudoEuclidError``, and ``InvalidInput`` is also a ``ValueError``."""
 
 __all__ = [
     "DegenerateTriangle", "Inconsistent", "InvalidInput", "NonPositiveRho", "NotOnHyperbola",
@@ -51,5 +52,5 @@ class ZeroVector(PseudoEuclidError):
     """A zero vector where a direction was needed."""
 
 
-class InvalidInput(PseudoEuclidError):
+class InvalidInput(PseudoEuclidError, ValueError):
     """Arguments outside an operation's stated domain."""

@@ -8,6 +8,7 @@ from ._value import _Value, _setters
 from .errors import ZeroVector
 from .geometry import PointP
 from .hypnum import HyperbolicNumber
+from .tol import rescaled
 
 __all__ = ["EuclideanAngleValues", "euclid_angle", "euclid_signed_area"]
 
@@ -27,12 +28,15 @@ _set_cos, _set_sin, _set_radians = _setters(EuclideanAngleValues)
 def euclid_angle(v1: HyperbolicNumber, v2: HyperbolicNumber) -> EuclideanAngleValues:
     """Euclidean angle from v1 to v2 (length-normalized, so null vectors are
     perfectly good arguments; only the zero vector is refused)."""
-    n1 = math.hypot(v1.x, v1.y)
-    n2 = math.hypot(v2.x, v2.y)
+    # on copies scaled by powers of two, which keep the angle, no norm, dot or
+    # cross overflows or underflows
+    (x1, y1, _), (x2, y2, _) = rescaled(v1.x, v1.y), rescaled(v2.x, v2.y)
+    n1 = math.hypot(x1, y1)
+    n2 = math.hypot(x2, y2)
     if n1 == 0.0 or n2 == 0.0:
         raise ZeroVector("cannot measure an angle against the zero vector")
-    c = (v1.x * v2.x + v1.y * v2.y) / (n1 * n2)
-    s = (v1.x * v2.y - v1.y * v2.x) / (n1 * n2)
+    c = (x1 * x2 + y1 * y2) / (n1 * n2)
+    s = (x1 * y2 - y1 * x2) / (n1 * n2)
     return EuclideanAngleValues(c, s, math.atan2(s, c))
 
 

@@ -237,6 +237,6 @@ def circumscribed(tri) -> EquilateralHyperbola:
     # rounds to 0 can the center leave the doubles
     try:
         center = PointP(p1.x + math.ldexp(a, -s), p1.y + math.ldexp(b, -s))
-    except (OverflowError, ValueError) as exc:
+    except (OverflowError, InvalidInput) as exc:
         raise InvalidInput(f"the center p1 + 2**{-s} * ({a!r}, {b!r}) does not fit a double") from exc
     return EquilateralHyperbola(center, P)

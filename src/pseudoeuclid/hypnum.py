@@ -50,7 +50,7 @@ class HyperbolicNumber(_Value):
         if type(self.y) is not float:
             _set_y(self, float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"components must be finite, got ({self.x!r}, {self.y!r})")
+            raise InvalidInput(f"components must be finite, got ({self.x!r}, {self.y!r})")
 
     def __add__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
         if not isinstance(other, HyperbolicNumber):

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
-from .errors import PseudoEuclidError
+from .errors import InvalidInput, PseudoEuclidError
 from .geometry import Motion, PointP
 from .hyperbola import circumscribed
 from .hypnum import HyperbolicNumber, euler, from_polar, to_polar
@@ -199,7 +199,7 @@ def _check_circum(pool) -> Iterator[float]:
 def run_selftest(seed: int = 0, n: int = 1000) -> dict:
     """Run every suite at n samples; returns a JSON-ready report."""
     if n <= 0:
-        raise ValueError(f"sample count must be positive, got {n}")
+        raise InvalidInput(f"sample count must be positive, got {n}")
     rng = random.Random(seed)
     # the suites share one stream: this order fixes every draw and the report order
     worst = {

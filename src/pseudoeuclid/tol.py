@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidInput
+
 __all__ = ["is_null_xy", "null_eps", "quadratic_form", "set_null_eps"]
 
 DEFAULT_NULL_EPS = 1e-12
@@ -26,7 +28,7 @@ def null_eps() -> float:
 
 def set_null_eps(value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"null epsilon must be a positive finite number, got {value!r}")
+        raise InvalidInput(f"null epsilon must be a positive finite number, got {value!r}")
     global _null_eps
     _null_eps = float(value)
 

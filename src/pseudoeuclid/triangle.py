@@ -82,15 +82,15 @@ class Triangle(_Value):
         # each side in turn, finite and then not null, in straight-line code:
         # a loop would build a tuple of three tuples on every construction
         if not (math.isfinite(ex) and math.isfinite(ey)):
-            raise ValueError(f"components must be finite, got ({ex!r}, {ey!r})")
+            raise InvalidInput(f"components must be finite, got ({ex!r}, {ey!r})")
         if is_null_xy(ex, ey):
             raise NullSide("side p1p2 lies on a null line")
         if not (math.isfinite(gx) and math.isfinite(gy)):
-            raise ValueError(f"components must be finite, got ({gx!r}, {gy!r})")
+            raise InvalidInput(f"components must be finite, got ({gx!r}, {gy!r})")
         if is_null_xy(gx, gy):
             raise NullSide("side p2p3 lies on a null line")
         if not (math.isfinite(fx) and math.isfinite(fy)):
-            raise ValueError(f"components must be finite, got ({fx!r}, {fy!r})")
+            raise InvalidInput(f"components must be finite, got ({fx!r}, {fy!r})")
         if is_null_xy(fx, fy):
             raise NullSide("side p1p3 lies on a null line")
         # 2S is the cross of sides p1p2 and p1p3, as in signed_area()
@@ -148,15 +148,20 @@ class Triangle(_Value):
         return el
 
     def law_of_sines_residual(self) -> float:
-        """Largest relative deviation of sinh_e(theta_i)/d_i from 2S/(d1 d2 d3)."""
+        """Largest relative deviation of d_j d_k sinh_e(theta_i) from 2S: the law of sines times
+        d1 d2 d3, with no triple product to overflow or underflow.  NaN where 2S rounds to 0."""
         el = self.elements()
         d1, d2, d3 = el.d
         a1, a2, a3 = el.angles
         sinh_e = _angle.sinh_e
-        ref = 2.0 * el.S / (d1 * d2 * d3)
-        return _worst((abs(sinh_e(a1) / d1 - ref) / abs(ref),
-                       abs(sinh_e(a2) / d2 - ref) / abs(ref),
-                       abs(sinh_e(a3) / d3 - ref) / abs(ref)))
+        two_s = 2.0 * el.S
+        if two_s == 0.0:
+            return math.nan
+        ref = abs(two_s)
+        # the products of the area-sine-triple suite, in its order
+        return _worst((abs(d2 * d3 * sinh_e(a1) - two_s) / ref,
+                       abs(d3 * d1 * sinh_e(a2) - two_s) / ref,
+                       abs(d1 * d2 * sinh_e(a3) - two_s) / ref))
 
     def law_of_cosines_check(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """Normalized residuals of the cosine and projection laws, per index.
@@ -258,8 +263,6 @@ def _place(c1: float, s1: float, d2: float, D3: float) -> tuple[PointP, PointP, 
     # of theta1
     d3 = math.sqrt(abs(D3))
     x, y = d2 * c1, d2 * s1
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InvalidInput(f"the third vertex, {d2!r} * ({c1!r}, {s1!r}), does not fit a double")
     if D3 > 0:
         return _ORIGIN, PointP(d3, 0.0), PointP(x, y)
     return _ORIGIN, PointP(0.0, -d3), PointP(y, x)

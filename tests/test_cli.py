@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pseudoeuclid import selftest
 from pseudoeuclid.cli import main
 
 LN2 = math.log(2.0)
@@ -212,6 +213,65 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert err.startswith("error: cannot write")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["classify", "--point", "x,1"], "error: bad point 'x,1': could not convert string to float: 'x'\n"),
+    (["sample", "unit-hyperbolas", "--theta", "0:1"], "error: expected lo:hi:n but got '0:1'\n"),
+    (["sample", "unit-hyperbolas", "--theta", "0:1:x"],
+     "error: bad range '0:1:x': invalid literal for int() with base 10: 'x'\n"),
+    (["sample", "unit-hyperbolas", "--theta", "0:1:1"], "error: need at least two samples, got n=1\n"),
+    (["solve", "sss", "--D", "1,x,2"],
+     "error: bad square sides '1,x,2': could not convert string to float: 'x'\n"),
+], ids=["point", "range-parts", "range-count", "range-one-sample", "square-sides"])
+def test_malformed_arguments_exit_2_with_their_messages(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_csv_columns_come_from_the_row(capsys):
+    code, out, err = run_cli(capsys, "--format", "csv", "classify", "--point", "5,3")
+    assert (code, err) == (0, "")
+    assert out == "x,y,sector,D,rho,theta,k\n5,3,Right,16,4,0.69314718055994529,+1\n"
+
+
+def test_cosh_e_csv_prints_a_gap_row_with_empty_cells(capsys):
+    code, out, err = run_cli(capsys, "--format", "csv", "sample", "cosh-e",
+                             "--phi", "0:1.5707963267948966:3")
+    assert (code, err) == (0, "")
+    assert out == ("phi,cos2phi,x,y,arm,gap\n"
+                   "0,1,1,0,+1,false\n"
+                   "0.78539816339744828,6.123233995736766e-17,,,,true\n"
+                   "1.5707963267948966,-1,6.123233995736766e-17,1,+h,false\n")
+
+
+def test_check_csv_prints_one_row_per_suite(capsys):
+    code, out, err = run_cli(capsys, "check", "--seed", "3", "--n", "20", "--format", "csv")
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "check,samples,worst,limit,ok"
+    cells = [row.split(",") for row in rows]
+    assert [c[0] for c in cells] == list(selftest.THRESHOLDS)
+    for name, samples, _, limit, ok in cells:
+        assert (samples, limit, ok) == ("20", format(selftest.THRESHOLDS[name], ".17g"), "true")
+
+
+def test_check_exits_1_and_names_the_failing_suite(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "_check_sines", lambda pool: iter([1.0]))
+    code, out, err = run_cli(capsys, "check", "--seed", "3", "--n", "20")
+    assert (code, err) == (1, "check failed: law-of-sines\n")
+    data = strict_json(out)
+    assert data["failed"] == ["law-of-sines"] and data["ok"] is False
+    assert data["checks"]["law-of-sines"]["worst"] == 1.0
+
+
+@pytest.mark.parametrize("point", ["1e-200,0", "2e-160,1e-160"], ids=["D-underflows", "D-subnormal"])
+def test_classify_segment_d_is_the_module_of_q_minus_p(capsys, point):
+    # d of the segment from the origin is rho of its end point where D rounds to 0 or loses bits
+    _, out, _ = run_cli(capsys, "classify", "--point", point)
+    rho = strict_json(out)["rho"]
+    code, out, err = run_cli(capsys, "classify", "--segment", "0,0", point)
+    assert (code, err) == (0, "")
+    assert strict_json(out)["d"] == rho
+
+
 def strict_json(text: str):
     """Parse as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
     def refuse(token):
@@ -220,12 +280,13 @@ def strict_json(text: str):
 
 
 def test_classify_segment_with_overflowing_square(capsys):
-    # D overflows to inf, but the kind comes from the scale-free null test
+    # D overflows to inf, but the kind comes from the scale-free null test, and
+    # d from the module, which fits
     code, out, _ = run_cli(capsys, "classify", "--segment", "3e200,0", "1e200,0")
     assert code == 0
     data = strict_json(out)
     assert data["segment_kind"] == "first"
-    assert data["D"] is None and data["d"] is None
+    assert data["D"] is None and data["d"] == 2e200
 
 
 def test_classify_point_on_null_line_at_large_scale(capsys):

@@ -33,6 +33,25 @@ def test_zero_vector_rejected():
         euclid_angle(H(0.0, 0.0), H(1.0, 0.0))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_angle_at_extreme_magnitudes(scale):
+    # the norms' product underflowed to 0 or the dot and cross overflowed
+    a = euclid_angle(H(scale, 0.0), H(scale, scale))
+    assert a.radians == pytest.approx(math.pi / 4.0, rel=1e-15)
+
+
+def test_angle_does_not_depend_on_power_of_two_scales():
+    rng = random.Random(23)
+    for _ in range(200):
+        v1 = H(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        v2 = H(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        want = euclid_angle(v1, v2)
+        for k1, k2 in ((-1000, -600), (600, 1000), (-1000, 1000)):
+            got = euclid_angle(H(math.ldexp(v1.x, k1), math.ldexp(v1.y, k1)),
+                               H(math.ldexp(v2.x, k2), math.ldexp(v2.y, k2)))
+            assert got == want
+
+
 def test_signed_area_orientation():
     assert euclid_signed_area(P(0, 0), P(5, 0), P(5, 3)) == 7.5
     assert euclid_signed_area(P(0, 0), P(5, 3), P(5, 0)) == -7.5

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +15,7 @@ from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
 from pseudoeuclid.euclid import euclid_signed_area
 from pseudoeuclid.geometry import Motion, PointP, displacement, square_distance
 from pseudoeuclid.hypnum import HyperbolicNumber, angle_between, euler
+from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.tol import null_eps, set_null_eps
 from pseudoeuclid.triangle import Triangle
 
@@ -85,6 +87,14 @@ def test_overflowing_vertex_difference_raises_as_displacement_does(vertices, i, 
         Triangle(*vertices)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("components must be finite, got (")
+
+
+def test_overflowing_side_p1p3_is_refused_as_invalid_input():
+    # p1p2 and p2p3 fit; p3 - p1 = (2e308, 0) does not
+    with pytest.raises(InvalidInput) as info:
+        Triangle(P(-1e308, 0), P(0, 1), P(1e308, 0))
+    assert type(info.value) is InvalidInput
+    assert str(info.value) == "components must be finite, got (inf, 0.0)"
 
 
 def test_null_side_is_reported_before_a_later_overflow():
@@ -317,6 +327,21 @@ def test_law_of_sines_keeps_a_nan_ratio(tri, monkeypatch):
         return math.nan if len(calls) == 2 else sinh_e(a)
 
     monkeypatch.setattr(_angle, "sinh_e", nan_second)
+    assert math.isnan(tri.law_of_sines_residual())
+
+
+@pytest.mark.parametrize("k", [1, -1, 100, -100, 200, -200, 240, -240, 345, -360])
+def test_law_of_sines_residual_does_not_depend_on_scale(k):
+    # d1 d2 d3 overflows at 2^345 and underflows to 0 at 2^-360; the products
+    # d_j d_k and 2S scale by 2^2k exactly
+    tri = random_triangle(random.Random(1))
+    scaled = Triangle(*(P(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in tri.vertices))
+    assert scaled.law_of_sines_residual() == tri.law_of_sines_residual() <= 1e-10
+
+
+def test_law_of_sines_residual_is_nan_where_2s_rounds_to_zero():
+    tri = Triangle(P(0, 0), P(1e-160, 0), P(1e-163, 5e-164))
+    assert tri.elements().S == 0.0
     assert math.isnan(tri.law_of_sines_residual())
 
 

@@ -116,9 +116,9 @@ def test_fields_cannot_be_assigned_or_deleted(value, text):
 
 
 @pytest.mark.parametrize("make, exc, message", [
-    (lambda: HyperbolicNumber(math.inf, 0), ValueError, "components must be finite, got (inf, 0.0)"),
-    (lambda: ExtendedAngle(math.nan), ValueError, "theta must be finite, got nan"),
-    (lambda: ExtendedAngle(1.0, "+1"), ValueError, "k must be a KleinIndex, got '+1'"),
+    (lambda: HyperbolicNumber(math.inf, 0), InvalidInput, "components must be finite, got (inf, 0.0)"),
+    (lambda: ExtendedAngle(math.nan), InvalidInput, "theta must be finite, got nan"),
+    (lambda: ExtendedAngle(1.0, "+1"), InvalidInput, "k must be a KleinIndex, got '+1'"),
     (lambda: EquilateralHyperbola(P(1, 1), 0), InvalidInput,
      "P = 0 degenerates to the pair of null lines"),
     (lambda: EquilateralHyperbola(P(1, 1), math.inf), InvalidInput, "P must be finite, got inf"),
