@@ -135,9 +135,7 @@ def _triangle_pool(rng: random.Random, n: int) -> list:
 def _check_area_triple(pool) -> Iterator[float]:
     for _, el in pool:
         two_s = 2.0 * el.S
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            term = el.d[j] * el.d[k] * _angle.sinh_e(el.angles[i])
+        for term in Triangle._sine_products(el):
             yield abs(term - two_s) / (1.0 + abs(two_s) + abs(term))
 
 
@@ -159,8 +157,10 @@ def _check_angle_sum_sinh(pool) -> Iterator[float]:
 
 def _check_angle_sum_cosh(pool) -> Iterator[float]:
     for tri, el in pool:
-        prod = el.d[0] * el.d[1] * el.d[2]
-        target = -(el.D[0] * el.D[1] * el.D[2]) / (prod * prod)
+        D1, D2, D3 = el.D
+        # -(D1 D2 D3) / (d1 d2 d3)^2 is exactly -sign(D1 D2 D3): +1 where an odd
+        # number of the D are negative, found by comparisons that cannot overflow
+        target = 1.0 if ((D1 < 0.0) != (D2 < 0.0)) != (D3 < 0.0) else -1.0
         yield abs(_angle.cosh_e(tri.angle_sum()) - target)
 
 

@@ -10,7 +10,7 @@ positive, and the familiar relations hold with ordinary signs:
 * law of cosines    D_i = D_j + D_k - 2 d_j d_k cosh_e(theta_i)
 * projections       d_i = |d_j cosh_e(theta_k) + d_k cosh_e(theta_j)|
 * angle sum         theta_1 + theta_2 + theta_3 has Klein index +-1 and
-                    cosh_e(sum) = -D1 D2 D3 / (d1 d2 d3)^2
+                    cosh_e(sum) = -D1 D2 D3 / (d1 d2 d3)^2 = -sign(D1 D2 D3)
 """
 from __future__ import annotations
 
@@ -147,21 +147,24 @@ class Triangle(_Value):
             _set_elements(self, el)
         return el
 
+    @staticmethod
+    def _sine_products(el: TriangleElements) -> tuple[float, float, float]:
+        """d_j d_k sinh_e(theta_i) for i = 1, 2, 3: by the law of sines each one is 2S."""
+        d1, d2, d3 = el.d
+        a1, a2, a3 = el.angles
+        sinh_e = _angle.sinh_e
+        return d2 * d3 * sinh_e(a1), d3 * d1 * sinh_e(a2), d1 * d2 * sinh_e(a3)
+
     def law_of_sines_residual(self) -> float:
         """Largest relative deviation of d_j d_k sinh_e(theta_i) from 2S: the law of sines times
         d1 d2 d3, with no triple product to overflow or underflow.  NaN where 2S rounds to 0."""
         el = self.elements()
-        d1, d2, d3 = el.d
-        a1, a2, a3 = el.angles
-        sinh_e = _angle.sinh_e
         two_s = 2.0 * el.S
         if two_s == 0.0:
             return math.nan
-        ref = abs(two_s)
-        # the products of the area-sine-triple suite, in its order
-        return _worst((abs(d2 * d3 * sinh_e(a1) - two_s) / ref,
-                       abs(d3 * d1 * sinh_e(a2) - two_s) / ref,
-                       abs(d1 * d2 * sinh_e(a3) - two_s) / ref))
+        t1, t2, t3 = Triangle._sine_products(el)
+        # one division of the largest deviation: dividing by |2S| > 0 keeps the order
+        return _worst((abs(t1 - two_s), abs(t2 - two_s), abs(t3 - two_s))) / abs(two_s)
 
     def law_of_cosines_check(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         """Normalized residuals of the cosine and projection laws, per index.
@@ -388,15 +391,20 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
     # compared by sign: the product D2 * D3 can underflow to zero
     kappa = 1.0 if (D2 > 0) == (D3 > 0) else -1.0
     s1_sq = c1 * c1 - kappa
-    # s1_sq = Q / (4 |D2 D3|) > 0; where it rounded to zero or below, or c1 or
-    # c1 * c1 overflowed, the direction (c1, s1) cannot be placed: it lies on
-    # the base line, is null at the default tolerance, or is not a number
-    if not 0.0 < s1_sq < math.inf:
+    # s1_sq = Q / (4 |D2 D3|) > 0; where it rounded to zero or below, the
+    # direction (c1, s1) lies on the base line and cannot be placed
+    if not s1_sq > 0.0:
         raise Inconsistent("square sides only close into a degenerate figure")
+    # where c1 * c1 overflowed, s1 = sqrt(c1^2 - kappa) rounds to |c1|, so
+    # side p1p3 lies on a null line, which the constructor refuses, unless
+    # the third vertex d2 (c1, s1) does not even fit a double
+    s1 = math.sqrt(s1_sq) if s1_sq < math.inf else abs(c1)
+    if not d2 * s1 < math.inf:
+        raise InvalidInput("the third vertex d2 (c1, s1) does not fit a double")
     # the law of cosines gives the direction of side p1p3 as a unit pair; the
     # constructor's null test on that side is the one null test it gets
     try:
-        return Triangle(*_place(c1, math.sqrt(s1_sq), d2, D3))
+        return Triangle(*_place(c1, s1, d2, D3))
     except (NullSide, DegenerateTriangle) as exc:
         raise Inconsistent("square sides only close into a degenerate figure") from exc
 

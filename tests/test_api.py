@@ -149,7 +149,7 @@ def test_no_function_body_reads_a_klein_member_through_the_class():
 COMPARING_KERNELS = {
     "angle.py": {"KleinIndex.__mul__", "cosh_sinh", "_angle_of", "from_point"},
     "tol.py": {"rescaled", "is_null_xy"},
-    "triangle.py": {"Triangle.__post_init__", "Triangle.elements",
+    "triangle.py": {"Triangle.__post_init__", "Triangle.elements", "Triangle._sine_products",
                     "Triangle.law_of_sines_residual", "Triangle.law_of_cosines_check"},
     "hyperbola.py": {"circumscribed"},
     "selftest.py": {"_check_circum"},

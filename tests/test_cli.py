@@ -369,6 +369,13 @@ def test_ssa_whose_placement_overflows_exits_2(capsys):
     assert err.startswith("error: ") and "does not fit a double" in err
 
 
+def test_sss_whose_third_vertex_does_not_fit_exits_2(capsys):
+    # the data close, but the vertex d2 (c1, s1) is about 1e450
+    code, out, err = run_cli(capsys, "solve", "sss", "--D=-1e300,1e300,1e-300")
+    assert (code, out) == (2, "")
+    assert err == "error: the third vertex d2 (c1, s1) does not fit a double\n"
+
+
 @pytest.mark.parametrize("vertices", [
     ["-5.360835399839681e+35,-1.0131183604201029e+179", "-5.8347119690749e-27,-7.03376803908808e-39",
      "-3.5123059675883307e+291,-3.3647224436227035e+302"],

@@ -4,11 +4,13 @@ computed."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from pseudoeuclid import triangle
-from pseudoeuclid.selftest import run_selftest
+from pseudoeuclid.geometry import PointP
+from pseudoeuclid.selftest import _check_angle_sum_cosh, random_triangle, run_selftest
 from pseudoeuclid.triangle import Triangle
 
 
@@ -40,11 +42,14 @@ def _nan_on_call(method, which, nan_value):
 
 
 # the law-of-cosines suite makes the first 50 calls of law_of_cosines_check,
-# the projection suite the next 50
+# the projection suite the next 50; likewise the area suite makes the first
+# 50 calls of the sine-product kernel, and law_of_sines_residual the next 50
 @pytest.mark.parametrize("method, call, nan_value, suite", [
     ("law_of_sines_residual", 25, math.nan, "law-of-sines"),
     ("law_of_cosines_check", 25, ((0.0, math.nan, 0.0), (0.0, 0.0, 0.0)), "law-of-cosines"),
     ("law_of_cosines_check", 75, ((0.0, 0.0, 0.0), (0.0, math.nan, 0.0)), "projection-law"),
+    ("_sine_products", 25, (0.0, math.nan, 0.0), "area-sine-triple"),
+    ("_sine_products", 75, (0.0, math.nan, 0.0), "law-of-sines"),
 ])
 def test_nan_residual_in_the_middle_of_the_pool_fails_its_suite(monkeypatch, method, call,
                                                                  nan_value, suite):
@@ -54,6 +59,15 @@ def test_nan_residual_in_the_middle_of_the_pool_fails_its_suite(monkeypatch, met
     assert math.isnan(report["checks"][suite]["worst"])
     assert not report["checks"][suite]["ok"]
     assert suite in report["failed"] and not report["ok"]
+
+
+@pytest.mark.parametrize("k", [0, 200, -200, 520, -520])
+def test_angle_sum_cosh_target_does_not_depend_on_scale(k):
+    # -(D1 D2 D3) / (d1 d2 d3)^2 in floats is NaN at 2^200 and divides 0 by 0
+    # at 2^-200; the target -sign(D1 D2 D3) forms no product
+    tri = random_triangle(random.Random(1))
+    scaled = Triangle(*(PointP(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in tri.vertices))
+    assert list(_check_angle_sum_cosh([(scaled, scaled.elements())])) == [0.0]
 
 
 def test_each_triangle_computes_its_angles_once(monkeypatch):

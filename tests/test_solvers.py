@@ -314,13 +314,24 @@ def test_sss_rejects_null_side():
 
 
 def test_sss_whose_cosine_overflows_is_inconsistent():
-    # (D2 + D3 - D1) / (2 d2 d3) = 1e300 fits, but its square does not, so
-    # the direction (c1, s1) cannot be placed, although Q = 4e600 > 0
+    # (D2 + D3 - D1) / (2 d2 d3) = 1e200 fits, but its square does not, so s1
+    # rounds to |c1|; the vertex d2 (c1, s1), about 1e300, fits, and side p1p3
+    # lies on a null line, although Q = 4e400 > 0
     with pytest.raises(Inconsistent, match="degenerate figure"):
-        solve_sss(-1e300, 1e300, 1e-300)
+        solve_sss(-1e200, 1e200, 1e-200)
     # equal positive sides have Q < 0, which the exact sign test sees first
     with pytest.raises(Inconsistent, match="realizability condition"):
         solve_sss(1e308, 1e308, 1e308)
+
+
+@pytest.mark.parametrize("D", [
+    (-1e300, 1e300, 1e-300),   # c1 = 1e300: the vertex d2 (c1, s1) is about 1e450
+    (-1e300, 1e-300, 1e-300),  # c1 = inf
+])
+def test_sss_whose_third_vertex_does_not_fit_is_invalid(D):
+    # the data close (Q > 0), but no double holds the answer
+    with pytest.raises(InvalidInput, match="third vertex"):
+        solve_sss(*D)
 
 
 @pytest.mark.parametrize("D", [

@@ -1,0 +1,20 @@
+"""Smoke tests for the scripts under tools/."""
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_selftest_diff_finds_no_difference_between_a_tree_and_itself():
+    src = str(ROOT / "src")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "selftest_diff.py"), src, src,
+                           "--seeds", "3"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # one line per suite, then the repr count
+    assert len(lines) == 14
+    assert all(" 0 differ  []" in line for line in lines[:-1]), lines
+    assert lines[-1] == "reports that differ in repr: 0 of 3"
