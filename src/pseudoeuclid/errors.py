@@ -28,20 +28,20 @@ class OverflowingAngle(PseudoEuclidError):
     """Angle large enough that its hyperbolic functions leave double range."""
 
 
-class DegenerateTriangle(PseudoEuclidError):
+class Inconsistent(PseudoEuclidError):
+    """Input data admits no real figure, as a null side or a flat triangle shows."""
+
+
+class DegenerateTriangle(Inconsistent):
     """Collinear or coincident vertices."""
 
 
-class NullSide(PseudoEuclidError):
+class NullSide(Inconsistent):
     """A triangle side lies along a null direction and has no unit length."""
 
 
 class ParallelRays(PseudoEuclidError):
     """Two construction rays never meet."""
-
-
-class Inconsistent(PseudoEuclidError):
-    """Input data admits no real figure."""
 
 
 class NotOnHyperbola(PseudoEuclidError):

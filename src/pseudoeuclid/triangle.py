@@ -264,8 +264,10 @@ def _place(c1: float, s1: float, d2: float, D3: float) -> tuple[PointP, PointP, 
     # canonical placement: p1 at the origin, p2 on the axis matching the kind
     # of side 3, p3 at d2 along the unit direction (c1, s1) = (cosh_e, sinh_e)
     # of theta1
-    d3 = math.sqrt(abs(D3))
     x, y = d2 * c1, d2 * s1
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInput("the third vertex d2 (c1, s1) does not fit a double")
+    d3 = math.sqrt(abs(D3))
     if D3 > 0:
         return _ORIGIN, PointP(d3, 0.0), PointP(x, y)
     return _ORIGIN, PointP(0.0, -d3), PointP(y, x)
@@ -278,7 +280,8 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
     d2 solves d2^2 - 2 kappa1 sign(D3) d3 cosh_e d2 + kappa1 sign(D3) (D3 - D1)
     = 0.  Sign tests decide the 0, 1 or 2 solutions: sinh_e(theta1) > 0, a
     discriminant d3^2 sinh_e^2 + kappa1 sign(D3) D1 >= 0, and one per root
-    d2 > 0 whose placement is neither null nor flat."""
+    d2 > 0 whose placement is neither null nor flat.  The quadratic is solved
+    on D1, D3 scaled by 4^-h, which puts the larger |D| in [1/4, 1)."""
     theta1 = _as_angle("theta1", theta1)
     D1 = _as_square("D1", D1)
     D3 = _as_square("D3", D3)
@@ -287,12 +290,16 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
         return []
     # kappa1 sign(D3), the one sign the quadratic carries
     sign = theta1.k.kappa * (1.0 if D3 > 0 else -1.0)
-    d3 = math.sqrt(abs(D3))
-    disc = d3 * d3 * s1 * s1 + sign * D1
+    # on the scaled D no term overflows (s1 <= sinh(THETA_MAX)) and a subnormal
+    # D costs no accuracy; each root scales back by 2^h exactly, so data scaled
+    # by 4^k give vertices scaled by 2^k bit for bit
+    h = (math.frexp(D1 if abs(D1) > abs(D3) else D3)[1] + 1) // 2
+    D1s, D3s = math.ldexp(D1, -2 * h), math.ldexp(D3, -2 * h)
+    # scaled after the square root, so that d3 keeps every bit where D3s is subnormal
+    d3 = math.ldexp(math.sqrt(abs(D3)), -h)
+    disc = d3 * d3 * s1 * s1 + sign * D1s
     if disc < 0.0:
         return []
-    if disc == math.inf:
-        raise InvalidInput("the discriminant of d2 does not fit a double")
     root = math.sqrt(disc)
     base = sign * d3 * c1
     if root == 0.0:
@@ -300,19 +307,18 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
     else:
         # the root away from zero adds like signs; the other is the product of
         # the roots, kappa1 sign(D3) (D3 - D1), over it, which does not cancel
-        # (Higham 2002, sec. 1.8).  D3 - D1 overflows only where the signs
-        # differ, and there the terms divided first do not cancel either
+        # (Higham 2002, sec. 1.8)
         far = base + math.copysign(root, base)
-        gap = D3 - D1
-        ratio = gap / far if math.isfinite(gap) else D3 / far - D1 / far
-        candidates = (sign * ratio, far)
+        candidates = (sign * (D3s - D1s) / far, far)
     solutions = []
     for d2 in candidates:
+        d2 = math.ldexp(d2, h)
         if not d2 > 0.0:
             continue
         try:
             solutions.append(Triangle(*_place(c1, s1, d2, D3)))
-        except (NullSide, DegenerateTriangle):
+        except Inconsistent:
+            # the constructor's NullSide or DegenerateTriangle: no triangle at this root
             continue
     return solutions
 
@@ -320,7 +326,7 @@ def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:
 def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triangle:
     """The triangle with angles theta1, theta2 at the ends of side D3: d2 = d3 sinh_e(theta2) / S12
     by the law of sines, S12 = sign(D3) sinh_e(theta1 + theta2).  Raises ParallelRays if S12 ~ 0,
-    then Inconsistent unless sinh_e(theta1), sinh_e(theta2), S12 > 0, or if the figure is flat."""
+    then Inconsistent unless sinh_e(theta1), sinh_e(theta2), S12 > 0 and the figure constructs."""
     theta1 = _as_angle("theta1", theta1)
     theta2 = _as_angle("theta2", theta2)
     D3 = _as_square("D3", D3)
@@ -332,15 +338,12 @@ def solve_asa(theta1: ExtendedAngle, theta2: ExtendedAngle, D3: float) -> Triang
     if not (s1 > 0.0 and s2 > 0.0 and S12 > 0.0):
         raise Inconsistent("the rays meet on the wrong side: not all of sinh_e(theta1), "
                            "sinh_e(theta2), sign(D3) sinh_e(theta1 + theta2) are > 0")
-    try:
-        return Triangle(*_place(c1, s1, math.sqrt(abs(D3)) * s2 / S12, D3))
-    except (NullSide, DegenerateTriangle) as exc:
-        raise Inconsistent("the rays meet in a degenerate configuration") from exc
+    return Triangle(*_place(c1, s1, math.sqrt(abs(D3)) * s2 / S12, D3))
 
 
 def solve_sas(theta1: ExtendedAngle, D2: float, D3: float) -> Triangle:
-    """The triangle with square sides D2, D3 framing vertex angle theta1; it
-    needs sign(D2) = kappa1 sign(D3) and sinh_e(theta1) > 0."""
+    """The triangle with square sides D2, D3 framing vertex angle theta1; it needs
+    sign(D2) = kappa1 sign(D3), sinh_e(theta1) > 0 and a placement that constructs."""
     theta1 = _as_angle("theta1", theta1)
     D2 = _as_square("D2", D2)
     D3 = _as_square("D3", D3)
@@ -352,10 +355,7 @@ def solve_sas(theta1: ExtendedAngle, D2: float, D3: float) -> Triangle:
     if s1 < 0.0:
         raise Inconsistent("sinh_e(theta1) < 0: the angle opens clockwise")
     # sinh_e(theta1) = 0 lays p3 on the line p1p2, which the constructor refuses
-    try:
-        return Triangle(*_place(c1, s1, math.sqrt(abs(D2)), D3))
-    except DegenerateTriangle as exc:
-        raise Inconsistent("the data determine a flat triangle") from exc
+    return Triangle(*_place(c1, s1, math.sqrt(abs(D2)), D3))
 
 
 def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
@@ -397,16 +397,11 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
         raise Inconsistent("square sides only close into a degenerate figure")
     # where c1 * c1 overflowed, s1 = sqrt(c1^2 - kappa) rounds to |c1|, so
     # side p1p3 lies on a null line, which the constructor refuses, unless
-    # the third vertex d2 (c1, s1) does not even fit a double
+    # the third vertex d2 (c1, s1) does not even fit a double, which _place refuses
     s1 = math.sqrt(s1_sq) if s1_sq < math.inf else abs(c1)
-    if not d2 * s1 < math.inf:
-        raise InvalidInput("the third vertex d2 (c1, s1) does not fit a double")
     # the law of cosines gives the direction of side p1p3 as a unit pair; the
     # constructor's null test on that side is the one null test it gets
-    try:
-        return Triangle(*_place(c1, s1, d2, D3))
-    except (NullSide, DegenerateTriangle) as exc:
-        raise Inconsistent("square sides only close into a degenerate figure") from exc
+    return Triangle(*_place(c1, s1, d2, D3))
 
 
 def realizability(D1: float, D2: float, D3: float) -> float:

@@ -362,11 +362,19 @@ def test_sss_whose_cosine_overflows_is_a_domain_outcome(capsys):
 
 
 def test_ssa_whose_placement_overflows_exits_2(capsys):
+    code, out, err = run_cli(capsys, "solve", "ssa", "--theta1=300,+1",
+                             "--D1", "1e300", "--D3", "1e300")
+    assert (code, out) == (2, "")
+    assert err == "error: the third vertex d2 (c1, s1) does not fit a double\n"
+
+
+def test_ssa_whose_discriminant_overflows_unscaled_solves(capsys):
+    # d3^2 sinh^2(1) + D1 is beyond the largest double, but not on the
+    # squares scaled by a power of four
     code, out, err = run_cli(capsys, "solve", "ssa", "--theta1=1,+1",
                              "--D1", "1e308", "--D3", "1e308")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "does not fit a double" in err
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == 1
 
 
 def test_sss_whose_third_vertex_does_not_fit_exits_2(capsys):

@@ -523,6 +523,23 @@ def test_ssa_vertices_and_counts_match_oracle():
     assert worst <= 4.0
 
 
+@pytest.mark.parametrize("theta1, D1, D3, count", [
+    (ExtendedAngle(1.0, KleinIndex.P1), 1e308, 1e308, 1),  # the other root is 0
+    (ExtendedAngle(5.0, KleinIndex.P1), -1.7e308, 1e308, 2),
+    (ExtendedAngle(-3.0136966872462176, KleinIndex.H), -1.05e-321, -2.22212326569e-312, 1),
+], ids=["discriminant-overflows", "discriminant-overflows-two-roots", "subnormal"])
+def test_ssa_at_extreme_squares_matches_oracle(theta1, D1, D3, count):
+    # the quadratic is solved on the squares scaled by a power of four: on the
+    # unscaled squares these discriminants overflowed, or d3 * d3 underflowed
+    # and one root was 70 u cond off
+    sols = solve_ssa(theta1, D1, D3)
+    with mpmath.workprec(PREC):
+        answers, _ = oracle_ssa(theta1, D1, D3)
+        assert len(sols) == count
+        for tri in sols:
+            assert min(off_by(tri.p3, p3) / (U * cond) for p3, cond in answers) <= 4.0
+
+
 def test_asa_vertex_matches_oracle():
     rng = random.Random(23)
     worst = 0.0

@@ -10,11 +10,20 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudoeuclid.angle import ExtendedAngle, KleinIndex
-from pseudoeuclid.errors import InvalidInput, PseudoEuclidError
+from pseudoeuclid import triangle
+from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex
+from pseudoeuclid.errors import (
+    DegenerateTriangle,
+    Inconsistent,
+    InvalidInput,
+    NullSide,
+    OverflowingAngle,
+    ParallelRays,
+    PseudoEuclidError,
+)
 from pseudoeuclid.euclid import euclid_angle
 from pseudoeuclid.geometry import Motion, PointP
 from pseudoeuclid.hyperbola import EquilateralHyperbola, circumscribed
@@ -49,6 +58,10 @@ def exercise(tri: Triangle) -> None:
 
 def test_invalid_input_is_both_a_domain_error_and_a_value_error():
     assert issubclass(InvalidInput, PseudoEuclidError) and issubclass(InvalidInput, ValueError)
+
+
+def test_a_null_side_and_a_flat_triangle_are_inconsistent_data():
+    assert issubclass(NullSide, Inconsistent) and issubclass(DegenerateTriangle, Inconsistent)
 
 
 @pytest.mark.parametrize("label", ["x", "+2", ""])
@@ -93,6 +106,51 @@ def test_solvers_refuse_only_with_domain_errors(theta1, k1, theta2, k2, D1, D2, 
     for tri in solutions:
         if tri is not None:
             exercise(tri)
+
+
+def attempt(fn, *args):
+    """fn(*args), or the type and message of the PseudoEuclidError it raises."""
+    try:
+        return fn(*args)
+    except PseudoEuclidError as exc:
+        return type(exc), str(exc)
+
+
+angles = st.builds(ExtendedAngle, st.floats(-THETA_MAX, THETA_MAX), klein)
+refusals = (Inconsistent, InvalidInput, OverflowingAngle)
+
+
+@settings(max_examples=500, deadline=None)
+@given(angles, angles, finite, finite, finite)
+@example(ExtendedAngle(30.0), ExtendedAngle(0.5), 1.0, 4.0, 1.0)     # null sides in ASA and SAS
+@example(ExtendedAngle(1e-13), ExtendedAngle(1.0), 1.0, 1.0, 1.0)    # flat in ASA and SAS
+@example(ExtendedAngle(300.0), ExtendedAngle(0.5), 1e300, 1.0, 1e300)  # SSA vertex beyond a double
+@example(ExtendedAngle(0.5), ExtendedAngle(0.5), -1e200, 1e200, 1e-200)  # SSS p2p3 null
+def test_solvers_refuse_as_their_placement_does(a1, a2, D1, D2, D3):
+    # a solver refuses with one of four types, and where it reaches a
+    # placement, it answers what the constructor makes of it: SSA keeps the
+    # roots whose triangles construct and drops those refused as
+    # Inconsistent; the other solvers pass the refusal through as it is
+    place = triangle._place
+    for solver, args, types in ((triangle.solve_ssa, (a1, D1, D3), refusals),
+                                (triangle.solve_asa, (a1, a2, D3), (*refusals, ParallelRays)),
+                                (triangle.solve_sas, (a1, D2, D3), refusals),
+                                (triangle.solve_sss, (D1, D2, D3), refusals)):
+        placements = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(triangle, "_place", lambda *p: placements.append(p) or place(*p))
+            got = attempt(solver, *args)
+        assert not isinstance(got, tuple) or issubclass(got[0], types), (solver.__name__, got)
+        # what the constructor makes of each placement the solver reached
+        built = [attempt(lambda p=p: triangle.Triangle(*place(*p))) for p in placements]
+        if not built:
+            continue  # decided by the input checks and sign tests alone
+        if solver is triangle.solve_ssa:
+            raised = [b for b in built if isinstance(b, tuple) and not issubclass(b[0], Inconsistent)]
+            want = raised[0] if raised else [b for b in built if not isinstance(b, tuple)]
+        else:
+            (want,) = built
+        assert got == want, (solver.__name__, args, got, want)
 
 
 @settings(max_examples=500, deadline=None)

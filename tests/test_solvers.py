@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh
 from pseudoeuclid.errors import (
@@ -233,7 +235,7 @@ def test_sas_null_third_side():
 
 def test_sas_flat_triangle():
     # theta1 = 1e-13 lays p3 along p1p2: a genuine angle, but no area
-    with pytest.raises(Inconsistent, match="the data determine a flat triangle"):
+    with pytest.raises(Inconsistent, match="vertices are collinear"):
         solve_sas(ExtendedAngle(1e-13, KleinIndex.P1), 1.0, 1.0)
 
 
@@ -315,9 +317,10 @@ def test_sss_rejects_null_side():
 
 def test_sss_whose_cosine_overflows_is_inconsistent():
     # (D2 + D3 - D1) / (2 d2 d3) = 1e200 fits, but its square does not, so s1
-    # rounds to |c1|; the vertex d2 (c1, s1), about 1e300, fits, and side p1p3
-    # lies on a null line, although Q = 4e400 > 0
-    with pytest.raises(Inconsistent, match="degenerate figure"):
+    # rounds to |c1|; the vertex d2 (c1, s1), about 1e300, fits, and the
+    # placed sides p1p3 and p2p3 lie on null lines, although Q = 4e400 > 0;
+    # the constructor names p2p3, which it tests first
+    with pytest.raises(Inconsistent, match="side p2p3 lies on a null line"):
         solve_sss(-1e200, 1e200, 1e-200)
     # equal positive sides have Q < 0, which the exact sign test sees first
     with pytest.raises(Inconsistent, match="realizability condition"):
@@ -414,20 +417,21 @@ def test_solvers_decide_without_building_elements(monkeypatch):
     refused(0, Inconsistent, "wrong side", solve_asa, A06, ExtendedAngle(-0.5), 25.0)
     refused(0, Inconsistent, "wrong side", solve_asa, A06, ExtendedAngle(0.1, H), -25.0)
     refused(0, ParallelRays, "parallel", solve_asa, A06, ExtendedAngle(-A06.theta, P1), 25.0)
-    refused(2, Inconsistent, "degenerate configuration", solve_asa,
+    refused(2, Inconsistent, "vertices are collinear", solve_asa,
             ExtendedAngle(1e-13), ExtendedAngle(1.0), 1.0)
     solved(solve_sas, ExtendedAngle(math.log(2.0)), 16.0, 25.0)
     refused(0, Inconsistent, "clockwise", solve_sas, ExtendedAngle(-math.log(2.0)), 16.0, 25.0)
     refused(0, Inconsistent, "contradicts", solve_sas, ExtendedAngle(math.log(2.0)), -16.0, 25.0)
-    refused(2, Inconsistent, "flat", solve_sas, ExtendedAngle(1e-13, P1), 1.0, 1.0)
+    refused(2, Inconsistent, "vertices are collinear", solve_sas, ExtendedAngle(1e-13, P1), 1.0, 1.0)
     solved(solve_sss, -9.0, 16.0, 25.0)
     refused(0, Inconsistent, "Q > 0", solve_sss, 1.0, 1.0, 1.0)
     refused(0, Inconsistent, "degenerate figure", solve_sss, 0.9999999999999999, 4.0, 1.0)
 
 
 def test_ssa_whose_placement_overflows_is_invalid_input():
-    with pytest.raises(InvalidInput, match="does not fit a double"):
-        solve_ssa(ExtendedAngle(1.0, P1), 1e308, 1e308)
+    # the far root is about 2 d3 cosh(300) = 2e280, and its vertex about 1e410
+    with pytest.raises(InvalidInput, match="^the third vertex d2 \\(c1, s1\\) does not fit a double$"):
+        solve_ssa(ExtendedAngle(300.0, P1), 1e300, 1e300)
 
 
 def _magnitude(rng: random.Random) -> float:
@@ -456,3 +460,37 @@ def test_solvers_raise_only_domain_errors_on_finite_input():
                 solve_sss(_magnitude(rng), _magnitude(rng), _magnitude(rng))
         except PseudoEuclidError:
             pass
+
+
+def _triangle_data(seed: int) -> tuple[ExtendedAngle, ExtendedAngle, float, float, float]:
+    el = random_triangle(random.Random(seed)).elements()
+    return (el.angles[0], el.angles[1], *el.D)
+
+
+def _answer(k: int, solver, *args) -> list[list[str]] | str:
+    """The vertices of each triangle times 2^k as float.hex, or the refusal's type name."""
+    try:
+        got = solver(*args)
+    except PseudoEuclidError as exc:
+        return type(exc).__name__
+    return [[math.ldexp(c, k).hex() for p in t.vertices for c in (p.x, p.y)]
+            for t in (got if isinstance(got, list) else [got])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(_triangle_data, st.integers(0, 2 ** 32 - 1)), st.integers(-480, 480))
+# SSA data whose discriminant overflowed or underflowed unscaled, with data for the other solvers
+@example((ExtendedAngle(1.0, P1), A06, 1e308, 1.0, 1e308), -480)
+@example((ExtendedAngle(300.0, P1), A06, -1e300, 1.0, 1e60), -480)
+@example((ExtendedAngle(-3.0136966872462176, H), A06, -1.05e-321, 1.0, -2.22212326569e-312), 480)
+def test_solvers_scale_by_powers_of_four(data, k):
+    # square sides scaled by 4^k give every vertex scaled by 2^k, bit for bit,
+    # or the same refusal: no solver's verdict depends on scale
+    theta1, theta2, D1, D2, D3 = data
+    S1, S2, S3 = (math.ldexp(D, 2 * k) for D in (D1, D2, D3))
+    for solver, unit, scaled in (
+            (solve_ssa, (theta1, D1, D3), (theta1, S1, S3)),
+            (solve_asa, (theta1, theta2, D3), (theta1, theta2, S3)),
+            (solve_sas, (theta1, D2, D3), (theta1, S2, S3)),
+            (solve_sss, (D1, D2, D3), (S1, S2, S3))):
+        assert _answer(0, solver, *scaled) == _answer(k, solver, *unit), (solver.__name__, data, k)

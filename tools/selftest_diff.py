@@ -34,20 +34,28 @@ for s in range(int(sys.argv[1])):
 FIRST = 5
 
 
-def start(src: str, seeds: int) -> tuple[subprocess.Popen, IO[str]]:
+def start(code: str, src: str, *args: str) -> tuple[subprocess.Popen, IO[str]]:
     # the output goes to a file, not a pipe: a full pipe would stall the second tree
     out = tempfile.TemporaryFile("w+")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    return subprocess.Popen([sys.executable, "-c", _CHILD, str(seeds)], env=env,
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
                             stdout=out, text=True), out
 
 
-def reports(child: subprocess.Popen, out: IO[str]) -> list[dict]:
-    with out:
-        if child.returncode:
-            raise SystemExit(f"a selftest run exited with status {child.returncode}")
-        out.seek(0)
-        return [json.loads(line) for line in out]
+def run_trees(code: str, old_src: str, new_src: str, *args: str) -> list[list[str]]:
+    """The lines that ``code`` prints with the package of each tree.  The two
+    trees run side by side, and both finish before either is read."""
+    children = [start(code, src, *args) for src in (old_src, new_src)]
+    for child, _ in children:
+        child.wait()
+    lines = []
+    for child, out in children:
+        with out:
+            if child.returncode:
+                raise SystemExit(f"a run exited with status {child.returncode}")
+            out.seek(0)
+            lines.append(out.read().splitlines())
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,11 +64,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new_src")
     parser.add_argument("--seeds", type=int, default=400, help="seeds 0 .. SEEDS-1 (default 400)")
     args = parser.parse_args(argv)
-    # the two trees run side by side, and both finish before either is read
-    children = [start(src, args.seeds) for src in (args.old_src, args.new_src)]
-    for child, _ in children:
-        child.wait()
-    old, new = (reports(*child) for child in children)
+    old, new = ([json.loads(line) for line in lines]
+                for lines in run_trees(_CHILD, args.old_src, args.new_src, str(args.seeds)))
     for name in old[0]["worst"]:
         seeds = [s for s, (a, b) in enumerate(zip(old, new)) if a["worst"][name] != b["worst"][name]]
         print(f"{name:<20} {len(seeds):>4} differ  {seeds[:FIRST]}")
