@@ -120,7 +120,7 @@ def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:
     """
     theta = a.theta
     if abs(theta) > THETA_MAX:
-        raise OverflowingAngle(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
+        raise _overflowing(theta)
     c, s = math.cosh(theta), math.sinh(theta)
     k = a.k
     if k is _P1:
@@ -132,14 +132,41 @@ def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:
     return -s, -c
 
 
+def _overflowing(theta: float) -> OverflowingAngle:
+    return OverflowingAngle(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
+
+
+# cosh_e and sinh_e each evaluate only the function they return, with the
+# index rule of cosh_sinh written out once more: they run thousands of times
+# per run_selftest, and a shared helper would cost a call on each
 def cosh_e(a: ExtendedAngle) -> float:
-    """Extended hyperbolic cosine."""
-    return cosh_sinh(a)[0]
+    """Extended hyperbolic cosine, ``cosh_sinh(a)[0]`` bit for bit."""
+    theta = a.theta
+    if abs(theta) > THETA_MAX:
+        raise _overflowing(theta)
+    k = a.k
+    if k is _P1:
+        return math.cosh(theta)
+    if k is _M1:
+        return -math.cosh(theta)
+    if k is _H:
+        return math.sinh(theta)
+    return -math.sinh(theta)
 
 
 def sinh_e(a: ExtendedAngle) -> float:
-    """Extended hyperbolic sine."""
-    return cosh_sinh(a)[1]
+    """Extended hyperbolic sine, ``cosh_sinh(a)[1]`` bit for bit."""
+    theta = a.theta
+    if abs(theta) > THETA_MAX:
+        raise _overflowing(theta)
+    k = a.k
+    if k is _P1:
+        return math.sinh(theta)
+    if k is _M1:
+        return -math.sinh(theta)
+    if k is _H:
+        return math.cosh(theta)
+    return -math.cosh(theta)
 
 
 def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
@@ -171,9 +198,12 @@ def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
 def from_point(x: float, y: float) -> ExtendedAngle:
     """Extended angle of the direction (x, y), the angle from +1 to (x, y).
 
-    Raises NullDirection when (x, y) lies on y = +-x within tolerance (the
-    origin included).  The index is the sign pair of x + y and x - y.
+    Raises InvalidInput, as ``HyperbolicNumber`` does, when x or y is not
+    finite, and NullDirection when (x, y) lies on y = +-x within tolerance
+    (the origin included).  The index is the sign pair of x + y and x - y.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInput(f"components must be finite, got ({x!r}, {y!r})")
     if is_null_xy(x, y):
         raise NullDirection(f"({x}, {y}) has no extended angle")
     return _angle_of(1.0, 0.0, x, y)

@@ -59,11 +59,12 @@ def random_triangle(rng: random.Random) -> Triangle:
     """Vertices in a +-5 box, rejecting badly conditioned triples: every side
     must stay clear of the null lines and the area clear of zero, both
     relative to the Euclidean size of the sides."""
-    uniform = rng.uniform
+    # rng.uniform(-BOX, BOX) is lo + span * rng.random(), drawn here without its call
+    draw, lo, span = rng.random, -BOX, BOX - -BOX
     while True:
-        x1, y1 = uniform(-BOX, BOX), uniform(-BOX, BOX)
-        x2, y2 = uniform(-BOX, BOX), uniform(-BOX, BOX)
-        x3, y3 = uniform(-BOX, BOX), uniform(-BOX, BOX)
+        x1, y1 = lo + span * draw(), lo + span * draw()
+        x2, y2 = lo + span * draw(), lo + span * draw()
+        x3, y3 = lo + span * draw(), lo + span * draw()
         # the sides p1p2, p2p3, p1p3; points are built only for a triple that passes
         ex, ey, gx, gy, fx, fy = x2 - x1, y2 - y1, x3 - x2, y3 - y2, x3 - x1, y3 - y1
         if _near_null(ex, ey) or _near_null(gx, gy) or _near_null(fx, fy):

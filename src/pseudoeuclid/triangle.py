@@ -142,7 +142,8 @@ class Triangle(_Value):
                 (math.sqrt(abs(D1)), math.sqrt(abs(D2)), math.sqrt(abs(D3))),
                 (_angle_of(x12, y12, x13, y13), _angle_of(x23, y23, x21, y21),
                  _angle_of(x31, y31, x32, y32)),
-                self.signed_area(),
+                # signed_area() on the rays already held: the same operations in the same order
+                0.5 * (x12 * y13 - y12 * x13),
             )
             _set_elements(self, el)
         return el
@@ -207,15 +208,16 @@ class Triangle(_Value):
     def is_right_angle_at(self, i: int) -> bool:
         """True when vertex i (1-based) carries a right angle, i.e. its
         extended cosine vanishes (the angle is (0, +-h) up to tolerance)."""
-        if i not in (1, 2, 3):
+        if not isinstance(i, int) or i not in (1, 2, 3):
             raise InvalidInput(f"vertex index must be 1, 2 or 3, got {i!r}")
         a = self.elements().angles[i - 1]
         return abs(_angle.cosh_e(a)) <= RIGHT_ANGLE_TOL
 
     def angle_sum(self) -> ExtendedAngle:
         """Sum of the three vertex angles; its Klein index is always +-1."""
-        el = self.elements()
-        return _angle.add_angles(_angle.add_angles(el.angles[0], el.angles[1]), el.angles[2])
+        a1, a2, a3 = self.elements().angles
+        # add_angles(add_angles(a1, a2), a3) without building the partial sum
+        return ExtendedAngle((a1.theta + a2.theta) + a3.theta, a1.k * a2.k * a3.k)
 
     def transformed(self, motion: Motion) -> "Triangle":
         # the images Motion.apply forms, with the unit pair computed once

@@ -97,6 +97,44 @@ def test_cosh_sinh_is_the_four_case_table_bit_for_bit(theta, k):
     assert [v.hex() for v in got] == [v.hex() for v in table[k]]
 
 
+def _outcome(fn, a):
+    """fn(a) as float.hex, or the type and message of the OverflowingAngle it raises."""
+    try:
+        return fn(a).hex()
+    except OverflowingAngle as exc:
+        return type(exc), str(exc)
+
+
+def _assert_halves_of_cosh_sinh(a):
+    # cosh_e and sinh_e each evaluate only the function they return; beyond
+    # THETA_MAX all three refuse with the same message
+    try:
+        want = tuple(v.hex() for v in cosh_sinh(a))
+    except OverflowingAngle as exc:
+        want = ((type(exc), str(exc)),) * 2
+    assert (_outcome(cosh_e, a), _outcome(sinh_e, a)) == want
+
+
+# the band edges with one step inside and one beyond, the zeros and the subnormals
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, float.fromhex("0x0.fffffffffffffp-1022"),
+          -float.fromhex("0x0.fffffffffffffp-1022"), THETA_MAX, -THETA_MAX,
+          math.nextafter(THETA_MAX, 0.0), math.nextafter(-THETA_MAX, 0.0),
+          math.nextafter(THETA_MAX, math.inf), math.nextafter(-THETA_MAX, -math.inf)]
+
+
+@pytest.mark.parametrize("k", ALL_KS, ids=lambda k: k.name)
+@pytest.mark.parametrize("theta", _EDGES)
+def test_cosh_e_and_sinh_e_match_cosh_sinh_at_the_edges(k, theta):
+    _assert_halves_of_cosh_sinh(ExtendedAngle(theta, k))
+
+
+@pytest.mark.parametrize("k", ALL_KS, ids=lambda k: k.name)
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(-2 * THETA_MAX, 2 * THETA_MAX) | st.floats(allow_nan=False, allow_infinity=False))
+def test_cosh_e_and_sinh_e_are_the_halves_of_cosh_sinh_bit_for_bit(k, theta):
+    _assert_halves_of_cosh_sinh(ExtendedAngle(theta, k))
+
+
 @pytest.mark.parametrize("k, expected", [
     (KleinIndex.P1, (math.cosh(0.7), math.sinh(0.7))),
     (KleinIndex.M1, (-math.cosh(0.7), -math.sinh(0.7))),
@@ -170,6 +208,16 @@ def test_from_point_rejects_null(x, y):
         from_point(x, y)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_from_point_refuses_a_coordinate_that_is_not_finite(x):
+    # the coordinates the caller passed, not the theta the kernel would make of them
+    for args in ((x, 1.0), (1.0, x)):
+        with pytest.raises(InvalidInput) as info:
+            from_point(*args)
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == f"components must be finite, got ({args[0]!r}, {args[1]!r})"
+
+
 @pytest.mark.parametrize("x, y, k", [
     (1e200, 0.0, KleinIndex.P1),
     (1e-170, 0.0, KleinIndex.P1),
@@ -190,8 +238,8 @@ def test_from_point_where_a_null_coordinate_overflows(x, y):
 def test_overflow_guard():
     c, s = cosh_sinh(ExtendedAngle(THETA_MAX))
     assert math.isfinite(c) and math.isfinite(s)
-    with pytest.raises(OverflowingAngle):
-        cosh_sinh(ExtendedAngle(THETA_MAX * 1.01))
+    with pytest.raises(OverflowingAngle, match=r"^\|theta\| = 353\.5 exceeds 350\.0$"):
+        cosh_sinh(ExtendedAngle(-THETA_MAX * 1.01))
     with pytest.raises(OverflowingAngle):
         sinh_e(ExtendedAngle(-400.0, KleinIndex.H))
 

@@ -89,11 +89,13 @@ def test_numbers_and_motions_refuse_only_with_domain_errors(x1, y1, x2, y2, r, t
 
 
 @settings(max_examples=500, deadline=None)
-@given(coordinates)
-def test_triangles_refuse_only_with_domain_errors(c):
+@given(coordinates, st.integers(-1, 5) | finite)
+@example((0.0, 0.0, 5.0, 0.0, 5.0, 3.0), 2.0)  # a float equal to a valid index
+def test_triangles_refuse_only_with_domain_errors(c, i):
     tri = outcome(Triangle, PointP(c[0], c[1]), PointP(c[2], c[3]), PointP(c[4], c[5]))
     if tri is not None:
         exercise(tri)
+        outcome(tri.is_right_angle_at, i)
 
 
 @settings(max_examples=500, deadline=None)

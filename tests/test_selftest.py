@@ -10,7 +10,14 @@ import pytest
 
 from pseudoeuclid import triangle
 from pseudoeuclid.geometry import PointP
-from pseudoeuclid.selftest import _check_angle_sum_cosh, random_triangle, run_selftest
+from pseudoeuclid.selftest import (
+    BOX,
+    TRIANGLE_MARGIN,
+    _check_angle_sum_cosh,
+    _near_null,
+    random_triangle,
+    run_selftest,
+)
 from pseudoeuclid.triangle import Triangle
 
 
@@ -59,6 +66,29 @@ def test_nan_residual_in_the_middle_of_the_pool_fails_its_suite(monkeypatch, met
     assert math.isnan(report["checks"][suite]["worst"])
     assert not report["checks"][suite]["ok"]
     assert suite in report["failed"] and not report["ok"]
+
+
+def uniform_random_triangle(rng: random.Random) -> Triangle:
+    # random_triangle as it drew through rng.uniform, the reference for its inlined form
+    while True:
+        x1, y1 = rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)
+        x2, y2 = rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)
+        x3, y3 = rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)
+        ex, ey, gx, gy, fx, fy = x2 - x1, y2 - y1, x3 - x2, y3 - y2, x3 - x1, y3 - y1
+        if _near_null(ex, ey) or _near_null(gx, gy) or _near_null(fx, fy):
+            continue
+        if abs(ex * fy - ey * fx) < TRIANGLE_MARGIN * math.hypot(ex, ey) * math.hypot(fx, fy):
+            continue
+        return Triangle(PointP(x1, y1), PointP(x2, y2), PointP(x3, y3))
+
+
+def test_random_triangle_draws_as_rng_uniform_did():
+    for s in range(200):
+        rng, ref = random.Random(s), random.Random(s)
+        got, want = random_triangle(rng), uniform_random_triangle(ref)
+        assert [c.hex() for p in got.vertices for c in (p.x, p.y)] == \
+            [c.hex() for p in want.vertices for c in (p.x, p.y)], s
+        assert rng.getstate() == ref.getstate(), s
 
 
 @pytest.mark.parametrize("k", [0, 200, -200, 520, -520])

@@ -32,3 +32,18 @@ def test_solve_diff_finds_no_difference_between_a_tree_and_itself():
     assert lines[5] == "lines that differ: 0 of 2100"
     assert lines[6].startswith("sha256 old ") and lines[6][11:] == lines[7][11:]
     assert len(lines) == 8
+
+
+def test_angle_diff_finds_no_difference_between_a_tree_and_itself():
+    src = str(ROOT / "src")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "angle_diff.py"), src, src],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # one line per function, the count, then one digest per tree
+    assert [line.split()[0] for line in lines[:6]] == ["cosh_sinh", "cosh_e", "sinh_e", "from_point",
+                                                       "angle_between", "add_angles"]
+    assert all(" 0 differ  []" in line for line in lines[:6]), lines
+    assert lines[6].startswith("lines that differ: 0 of ")
+    assert lines[7].startswith("sha256 old ") and lines[7][11:] == lines[8][11:]
+    assert len(lines) == 9

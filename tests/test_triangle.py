@@ -6,18 +6,18 @@ import pickle
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid import angle as _angle
-from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_e, sinh_e
+from pseudoeuclid.angle import ExtendedAngle, KleinIndex, add_angles, cosh_e, sinh_e
 from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
 from pseudoeuclid.euclid import euclid_signed_area
 from pseudoeuclid.geometry import Motion, PointP, displacement, square_distance
 from pseudoeuclid.hypnum import HyperbolicNumber, angle_between, euler
 from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.tol import null_eps, set_null_eps
-from pseudoeuclid.triangle import Triangle
+from pseudoeuclid.triangle import Triangle, TriangleElements, _set_elements
 
 P = PointP
 LN2 = math.log(2.0)
@@ -193,8 +193,11 @@ def test_projection_values(tri):
 def test_right_angle(tri):
     assert tri.is_right_angle_at(2)
     assert not tri.is_right_angle_at(1)
-    with pytest.raises(InvalidInput):
-        tri.is_right_angle_at(0)
+    # out of range, or not an int even where it equals a valid index
+    for i in (0, 4, 1.5, 2.0):
+        with pytest.raises(InvalidInput) as info:
+            tri.is_right_angle_at(i)
+        assert str(info.value) == f"vertex index must be 1, 2 or 3, got {i!r}"
 
 
 def test_angle_sum(tri):
@@ -206,6 +209,32 @@ def test_angle_sum(tri):
     target = -(el.D[0] * el.D[1] * el.D[2]) / (prod * prod)
     assert cosh_e(total) == pytest.approx(target, rel=1e-12)
     assert target == pytest.approx(1.0, rel=1e-12)
+
+
+_theta = st.floats(allow_nan=False, allow_infinity=False)
+_k = st.sampled_from(list(KleinIndex))
+
+
+def _sum_or_refusal(fn):
+    try:
+        a = fn()
+    except InvalidInput as exc:
+        return str(exc)
+    return a.theta.hex(), a.k
+
+
+@given(st.tuples(_theta, _theta, _theta), st.tuples(_k, _k, _k))
+@settings(max_examples=500, deadline=None)
+@example((1.5e308, 1.5e308, -1.5e308), (KleinIndex.H, KleinIndex.M1, KleinIndex.MH))
+@example((1.0, 2.0 ** -53, 2.0 ** -53), (KleinIndex.P1, KleinIndex.H, KleinIndex.MH))
+def test_angle_sum_is_two_additions_bit_for_bit(thetas, ks):
+    # one angle built where add_angles built two: the same theta, index and refusal
+    tri = Triangle(P(0, 0), P(5, 0), P(5, 3))
+    el = tri.elements()
+    angles = tuple(ExtendedAngle(t, k) for t, k in zip(thetas, ks))
+    _set_elements(tri, TriangleElements(el.D, el.d, angles, el.S))
+    want = _sum_or_refusal(lambda: add_angles(add_angles(angles[0], angles[1]), angles[2]))
+    assert _sum_or_refusal(tri.angle_sum) == want
 
 
 def test_canonicalize_fixture_is_fixed_point(tri):
@@ -350,7 +379,12 @@ _coord = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 5.0])
           | st.floats(-5.0, 5.0, allow_nan=False))
 
 
-@given(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3), st.integers(-400, 400))
+# the vertices of a selftest draw
+_drawn = st.builds(lambda seed: [(p.x, p.y) for p in random_triangle(random.Random(seed)).vertices],
+                   st.integers(0, 2 ** 32))
+
+
+@given(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3) | _drawn, st.integers(-480, 480))
 @settings(max_examples=500, deadline=None)
 def test_elements_are_the_public_composition_bit_for_bit(xy, k):
     try:

@@ -13,6 +13,7 @@ report is identical, and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -56,6 +57,26 @@ def run_trees(code: str, old_src: str, new_src: str, *args: str) -> list[list[st
             out.seek(0)
             lines.append(out.read().splitlines())
     return lines
+
+
+def compare_lines(old: list[str], new: list[str], key) -> int:
+    """Print per kind how many paired lines differ and the first few places,
+    then the count and the sha256 of each tree's lines; return the count.
+    ``key(line)`` is the line's (kind, place)."""
+    differ: dict[str, list[str]] = {}
+    for a, b in zip(old, new):
+        kind, where = key(a)
+        places = differ.setdefault(kind, [])
+        if a != b:
+            places.append(where)
+    for kind, where in differ.items():
+        print(f"{kind:<14} {len(where):>5} differ  {where[:FIRST]}")
+    count = sum(map(len, differ.values()))
+    print(f"lines that differ: {count} of {len(old)}")
+    for name, lines in (("old", old), ("new", new)):
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        print(f"sha256 {name} {digest}")
+    return count
 
 
 def main(argv: list[str] | None = None) -> int:

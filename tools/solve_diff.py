@@ -15,11 +15,10 @@ when every line is identical, and 1 otherwise.  It only reads ``bench/``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
-from selftest_diff import FIRST, run_trees
+from selftest_diff import compare_lines, run_trees
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 FIRST_SEED = 401
@@ -65,6 +64,11 @@ for seed in range(first, first + seeds):
 """
 
 
+def kind_and_place(line: str) -> tuple[str, str]:
+    where, kind, _ = line.split(" ", 2)
+    return kind, where
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -74,20 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     old, new = run_trees(_CHILD, args.old_src, args.new_src, str(BENCH), str(FIRST_SEED),
                          str(args.seeds))
-    differ: dict[str, list[str]] = {}
-    for a, b in zip(old, new):
-        where, kind, _ = a.split(" ", 2)
-        places = differ.setdefault(kind, [])
-        if a != b:
-            places.append(where)
-    for kind, where in differ.items():
-        print(f"{kind:<14} {len(where):>5} differ  {where[:FIRST]}")
-    count = sum(map(len, differ.values()))
-    print(f"lines that differ: {count} of {len(old)}")
-    for name, lines in (("old", old), ("new", new)):
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        print(f"sha256 {name} {digest}")
-    return 1 if count else 0
+    return 1 if compare_lines(old, new, kind_and_place) else 0
 
 
 if __name__ == "__main__":
