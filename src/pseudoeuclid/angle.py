@@ -18,7 +18,7 @@ from enum import Enum
 
 from ._value import _Value, _setters
 from .errors import InvalidInput, NullDirection, OverflowingAngle
-from .tol import is_null_xy, null_eps, rescaled
+from .tol import _as_float, is_null_xy, null_eps, rescaled
 
 __all__ = [
     "THETA_MAX", "ExtendedAngle", "KleinIndex", "add_angles", "circle_map", "cosh_e", "cosh_sinh",
@@ -102,7 +102,7 @@ class ExtendedAngle(_Value):
 
     def __post_init__(self) -> None:
         if type(self.theta) is not float:
-            _set_theta(self, float(self.theta))
+            _set_theta(self, _as_float(self.theta))
         if not math.isfinite(self.theta):
             raise InvalidInput(f"theta must be finite, got {self.theta!r}")
         if not isinstance(self.k, KleinIndex):
@@ -202,7 +202,11 @@ def from_point(x: float, y: float) -> ExtendedAngle:
     finite, and NullDirection when (x, y) lies on y = +-x within tolerance
     (the origin included).  The index is the sign pair of x + y and x - y.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
+    try:
+        finite = math.isfinite(x) and math.isfinite(y)
+    except OverflowError:  # an int beyond the doubles
+        x, y, finite = _as_float(x), _as_float(y), False
+    if not finite:
         raise InvalidInput(f"components must be finite, got ({x!r}, {y!r})")
     if is_null_xy(x, y):
         raise NullDirection(f"({x}, {y}) has no extended angle")
@@ -221,7 +225,11 @@ def sub_angles(a: ExtendedAngle, b: ExtendedAngle) -> ExtendedAngle:
 
 def _cos_2phi(phi: float) -> float:
     # math.cos raises a bare ValueError on inf and passes nan on; both are refused
-    if not math.isfinite(2.0 * phi):
+    try:
+        finite = math.isfinite(2.0 * phi)
+    except OverflowError:  # an int beyond the doubles
+        phi, finite = _as_float(phi), False
+    if not finite:
         raise InvalidInput(f"2 * phi must be finite, got phi = {phi!r}")
     return math.cos(2.0 * phi)
 

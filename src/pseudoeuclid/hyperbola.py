@@ -18,7 +18,7 @@ from .angle import _P1, ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection, ParallelRays
 from .geometry import PELine, PointP, _normalized_dot, _parallel, displacement, midpoint
 from .hypnum import HyperbolicNumber, angle_between, euler
-from .tol import quadratic_form, rescaled
+from .tol import _as_float, quadratic_form, rescaled
 
 __all__ = ["Chord", "ChordClass", "EquilateralHyperbola", "circumscribed"]
 
@@ -55,7 +55,8 @@ class EquilateralHyperbola(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _set_P(self, float(self.P))
+        if type(self.P) is not float:
+            _set_P(self, _as_float(self.P))
         if not math.isfinite(self.P):
             raise InvalidInput(f"P must be finite, got {self.P!r}")
         if self.P == 0.0:
@@ -107,9 +108,12 @@ class EquilateralHyperbola(_Value):
         """n points with evenly spaced parameters on arm k, endpoints included."""
         if k not in self.arms:
             raise InvalidInput(f"arm {k.label} does not occur on this hyperbola")
+        if not isinstance(n, int):
+            raise InvalidInput(f"sample count must be an int, got {n!r}")
         if n < 1:
             raise InvalidInput(f"need at least one sample, got n={n}")
-        lo, hi = float(lo), float(hi)
+        if type(lo) is not float or type(hi) is not float:
+            lo, hi = _as_float(lo), _as_float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInput("parameter range must be finite")
         if n == 1:

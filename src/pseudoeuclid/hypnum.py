@@ -15,7 +15,7 @@ from . import angle as _angle
 from ._value import _Value, _setters
 from .angle import ExtendedAngle, _angle_of
 from .errors import InvalidInput, NonPositiveRho, NullDirection, NullDivisor
-from .tol import is_null_xy, quadratic_form, rescaled
+from .tol import _as_float, is_null_xy, quadratic_form, rescaled
 
 __all__ = [
     "HyperbolicNumber", "Sector", "angle_between", "classify_sector", "euler", "from_polar",
@@ -46,9 +46,9 @@ class HyperbolicNumber(_Value):
     def __post_init__(self) -> None:
         # an exact float is kept as is: writing every value back cost more than the check
         if type(self.x) is not float:
-            _set_x(self, float(self.x))
+            _set_x(self, _as_float(self.x))
         if type(self.y) is not float:
-            _set_y(self, float(self.y))
+            _set_y(self, _as_float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise InvalidInput(f"components must be finite, got ({self.x!r}, {self.y!r})")
 
@@ -72,7 +72,10 @@ class HyperbolicNumber(_Value):
                 self.x * other.y + self.y * other.x,
             )
         if isinstance(other, Real):
-            return HyperbolicNumber(self.x * other, self.y * other)
+            try:
+                return HyperbolicNumber(self.x * other, self.y * other)
+            except OverflowError:  # an int beyond the doubles
+                return self * _as_float(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -137,7 +140,11 @@ def to_polar(z: HyperbolicNumber) -> tuple[float, ExtendedAngle]:
 
 def from_polar(rho: float, a: ExtendedAngle) -> HyperbolicNumber:
     """Rebuild rho * (cosh_e, sinh_e); rho must be strictly positive."""
-    if not (isinstance(rho, Real) and math.isfinite(rho) and rho > 0):
+    try:
+        valid = isinstance(rho, Real) and math.isfinite(rho) and rho > 0
+    except OverflowError:  # an int beyond the doubles
+        rho, valid = _as_float(rho), False
+    if not valid:
         raise NonPositiveRho(f"rho must be positive and finite, got {rho!r}")
     c, s = _angle.cosh_sinh(a)
     return HyperbolicNumber(rho * c, rho * s)

@@ -199,6 +199,8 @@ def _check_circum(pool) -> Iterator[float]:
 
 def run_selftest(seed: int = 0, n: int = 1000) -> dict:
     """Run every suite at n samples; returns a JSON-ready report."""
+    if not isinstance(n, int):
+        raise InvalidInput(f"sample count must be an int, got {n!r}")
     if n <= 0:
         raise InvalidInput(f"sample count must be positive, got {n}")
     rng = random.Random(seed)

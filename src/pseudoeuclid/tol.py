@@ -27,10 +27,24 @@ def null_eps() -> float:
 
 
 def set_null_eps(value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    try:
+        valid = isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    except OverflowError:  # an int beyond the doubles
+        value, valid = _as_float(value), False
+    if not valid:
         raise InvalidInput(f"null epsilon must be a positive finite number, got {value!r}")
     global _null_eps
     _null_eps = float(value)
+
+
+def _as_float(value) -> float:
+    """float(value), with a number beyond the doubles (an int such as 10**400) read as the
+    infinity of its sign, so that the caller's finiteness check refuses it by name.  Called
+    only on what is not already a float, or where a float operation on it overflowed."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def quadratic_form(x: float, y: float) -> float:

@@ -24,7 +24,7 @@ from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, Pa
 from .geometry import Motion, PointP, _moved, _negated_product, _parallel
 # angle_between is re-exported: the public angle is reachable from this module too
 from .hypnum import angle_between  # noqa: F401
-from .tol import is_null_xy, quadratic_form, rescaled
+from .tol import _as_float, is_null_xy, quadratic_form, rescaled
 
 __all__ = [
     "Triangle", "TriangleElements", "realizability", "solve_asa", "solve_sas", "solve_ssa",
@@ -244,7 +244,8 @@ _set_p1, _set_p2, _set_p3, _set_elements = _setters(Triangle)
 
 
 def _as_square(name: str, value: float) -> float:
-    value = float(value)
+    if type(value) is not float:
+        value = _as_float(value)
     if not math.isfinite(value):
         raise InvalidInput(f"{name} must be finite, got {value!r}")
     if value == 0.0:

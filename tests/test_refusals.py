@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudoeuclid import triangle
-from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex
+from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex, circle_map, from_point
 from pseudoeuclid.errors import (
     DegenerateTriangle,
     Inconsistent,
@@ -28,6 +28,8 @@ from pseudoeuclid.euclid import euclid_angle
 from pseudoeuclid.geometry import Motion, PointP
 from pseudoeuclid.hyperbola import EquilateralHyperbola, circumscribed
 from pseudoeuclid.hypnum import HyperbolicNumber, from_polar, to_polar
+from pseudoeuclid.selftest import run_selftest
+from pseudoeuclid.tol import DEFAULT_NULL_EPS, null_eps, set_null_eps
 from pseudoeuclid.triangle import Triangle, solve_asa, solve_sas, solve_ssa, solve_sss
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -165,3 +167,60 @@ def test_hyperbolas_refuse_only_with_domain_errors(cx, cy, P, theta, k, px, py, 
     outcome(hyp.contains, PointP(px, py))
     for arm in KleinIndex:
         outcome(hyp.sample_arm, arm, lo, hi, n)
+
+
+def huge_int_entries(v: int):
+    """Each entry point that reads a number, given the int v beyond the doubles, and the
+    refusal it raises for the infinity of v's sign: the finiteness check names it."""
+    a, inf = ExtendedAngle(0.5), "inf" if v > 0 else "-inf"
+    hyp = EquilateralHyperbola(PointP(0.0, 0.0), 1.0)
+    return [
+        (lambda: HyperbolicNumber(v, 0.0), f"components must be finite, got ({inf}, 0.0)"),
+        (lambda: HyperbolicNumber(0.0, v), f"components must be finite, got (0.0, {inf})"),
+        (lambda: ExtendedAngle(v, KleinIndex.H), f"theta must be finite, got {inf}"),
+        (lambda: from_point(v, 1.0), f"components must be finite, got ({inf}, 1.0)"),
+        (lambda: from_polar(v, a), f"rho must be positive and finite, got {inf}"),
+        (lambda: EquilateralHyperbola(PointP(0.0, 0.0), v), f"P must be finite, got {inf}"),
+        (lambda: solve_ssa(a, v, 1.0), f"D1 must be finite, got {inf}"),
+        (lambda: solve_asa(a, a, v), f"D3 must be finite, got {inf}"),
+        (lambda: solve_sas(a, v, 1.0), f"D2 must be finite, got {inf}"),
+        (lambda: solve_sss(1.0, 1.0, v), f"D3 must be finite, got {inf}"),
+        (lambda: set_null_eps(v), f"null epsilon must be a positive finite number, got {inf}"),
+        (lambda: circle_map(v), f"2 * phi must be finite, got phi = {inf}"),
+        (lambda: HyperbolicNumber(1.0, 0.5) * v, f"components must be finite, got ({inf}, {inf})"),
+        (lambda: v * HyperbolicNumber(1.0, 0.5), f"components must be finite, got ({inf}, {inf})"),
+        (lambda: hyp.sample_arm(KleinIndex.P1, v, 1.0, 3), "parameter range must be finite"),
+        (lambda: hyp.sample_arm(KleinIndex.P1, 0.0, v, 3), "parameter range must be finite"),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 2000), st.sampled_from([1, -1]))
+@example(10 ** 400 - 2 ** 1024, 1)
+def test_an_int_beyond_the_doubles_is_refused_as_infinite(k, sign):
+    v = sign * (2 ** 1024 + k)
+    for entry, message in huge_int_entries(v):
+        with pytest.raises(PseudoEuclidError) as info:
+            entry()
+        assert str(info.value) == message
+    assert null_eps() == DEFAULT_NULL_EPS
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats() | st.text(max_size=3))
+@example(1.5)
+@example("3")
+def test_a_count_that_is_not_an_int_is_refused(n):
+    hyp = EquilateralHyperbola(PointP(0.0, 0.0), 1.0)
+    for entry in (lambda: run_selftest(0, n), lambda: hyp.sample_arm(KleinIndex.P1, 0.0, 1.0, n)):
+        with pytest.raises(InvalidInput) as info:
+            entry()
+        assert str(info.value) == f"sample count must be an int, got {n!r}"
+
+
+def test_a_count_below_one_keeps_its_message():
+    hyp = EquilateralHyperbola(PointP(0.0, 0.0), 1.0)
+    with pytest.raises(InvalidInput, match=r"^sample count must be positive, got 0$"):
+        run_selftest(0, 0)
+    with pytest.raises(InvalidInput, match=r"^need at least one sample, got n=0$"):
+        hyp.sample_arm(KleinIndex.P1, 0.0, 1.0, 0)
