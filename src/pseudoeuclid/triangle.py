@@ -161,14 +161,17 @@ class Triangle(_Value):
         d1 d2 d3, with no triple product to overflow or underflow.  NaN where 2S rounds to 0."""
         el = self.elements()
         two_s = 2.0 * el.S
-        if two_s == 0.0:
-            return math.nan
         t1, t2, t3 = Triangle._sine_products(el)
-        # one division of the largest deviation: dividing by |2S| > 0 keeps the order
-        return _worst((abs(t1 - two_s), abs(t2 - two_s), abs(t3 - two_s))) / abs(two_s)
+        deviation = _worst((abs(t1 - two_s), abs(t2 - two_s), abs(t3 - two_s)))
+        # one division of the largest deviation: dividing by |2S| > 0 keeps the order,
+        # and a 2S that rounded to 0 divides as NaN (x or nan is NaN only for x = 0)
+        return deviation / (abs(two_s) or math.nan)
 
     def law_of_cosines_check(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        """Normalized residuals of the cosine and projection laws, per index.
+        """Relative residuals of the cosine and projection laws, per index.
+
+        Each is divided by the terms its identity holds, max(|D1|, |D2|, |D3|,
+        2 d_j d_k |cosh_e(theta_i)|) or d_i, so none depends on scale; NaN where that is 0.
 
         Unlike the Euclidean projection rule the sum d_j cosh_e(theta_k) +
         d_k cosh_e(theta_j) can come out negative; its absolute value is the
@@ -182,26 +185,25 @@ class Triangle(_Value):
         c1, c2, c3 = cosh_e(a1), cosh_e(a2), cosh_e(a3)
         # 2 d_j d_k for each vertex i, with (i, j, k) a cyclic order
         t1, t2, t3 = 2.0 * d2 * d3, 2.0 * d3 * d1, 2.0 * d1 * d2
-        # each scale is max(1.0, |D1|, |D2|, |D3|, t_i |c_i|), written as the
-        # comparisons max() makes: a NaN never compares greater, so with 1.0
-        # first max() never returned a NaN and the order of the rest did not
-        # matter; the part shared by the three vertices is taken once
+        # each scale is max(|D1|, |D2|, |D3|, t_i |c_i|) as the comparisons max()
+        # makes, the part shared by the three vertices taken once (a NaN there is
+        # in the numerator too); a scale of 0 divides as NaN, as in law_of_sines_residual
         a1, a2, a3 = abs(D1), abs(D2), abs(D3)
-        m = a1 if a1 > 1.0 else 1.0
+        m = a1
         if a2 > m:
             m = a2
         if a3 > m:
             m = a3
         n1, n2, n3 = t1 * abs(c1), t2 * abs(c2), t3 * abs(c3)
         cos_res = (
-            abs(D1 - (D2 + D3 - t1 * c1)) / (n1 if n1 > m else m),
-            abs(D2 - (D3 + D1 - t2 * c2)) / (n2 if n2 > m else m),
-            abs(D3 - (D1 + D2 - t3 * c3)) / (n3 if n3 > m else m),
+            abs(D1 - (D2 + D3 - t1 * c1)) / ((n1 if n1 > m else m) or math.nan),
+            abs(D2 - (D3 + D1 - t2 * c2)) / ((n2 if n2 > m else m) or math.nan),
+            abs(D3 - (D1 + D2 - t3 * c3)) / ((n3 if n3 > m else m) or math.nan),
         )
         proj_res = (
-            abs(d1 - abs(d2 * c3 + d3 * c2)) / (d1 if d1 > 1.0 else 1.0),
-            abs(d2 - abs(d3 * c1 + d1 * c3)) / (d2 if d2 > 1.0 else 1.0),
-            abs(d3 - abs(d1 * c2 + d2 * c1)) / (d3 if d3 > 1.0 else 1.0),
+            abs(d1 - abs(d2 * c3 + d3 * c2)) / (d1 or math.nan),
+            abs(d2 - abs(d3 * c1 + d1 * c3)) / (d2 or math.nan),
+            abs(d3 - abs(d1 * c2 + d2 * c1)) / (d3 or math.nan),
         )
         return cos_res, proj_res
 

@@ -54,22 +54,27 @@ def old_rescaled(x: float, y: float, e: int = 0) -> tuple[float, float, int]:
 NAN_PAYLOAD_1 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
 
 
-def old_law_of_cosines_check(D, d, c):
-    # the body of Triangle.law_of_cosines_check before it compared, on the
-    # square sides, moduli and extended cosines it reads from the elements
+def max_law_of_cosines_check(D, d, c):
+    # Triangle.law_of_cosines_check written with max(), on the square sides,
+    # moduli and extended cosines it reads from the elements: each residual over
+    # the largest magnitude its identity holds, in the cyclic order of its
+    # index, and NaN where that magnitude is 0
+    def ratio(deviation, magnitude):
+        return deviation / magnitude if magnitude != 0.0 else math.nan
+
     D1, D2, D3 = D
     d1, d2, d3 = d
     c1, c2, c3 = c
     t1, t2, t3 = 2.0 * d2 * d3, 2.0 * d3 * d1, 2.0 * d1 * d2
     cos_res = (
-        abs(D1 - (D2 + D3 - t1 * c1)) / max(1.0, abs(D1), abs(D2), abs(D3), t1 * abs(c1)),
-        abs(D2 - (D3 + D1 - t2 * c2)) / max(1.0, abs(D2), abs(D3), abs(D1), t2 * abs(c2)),
-        abs(D3 - (D1 + D2 - t3 * c3)) / max(1.0, abs(D3), abs(D1), abs(D2), t3 * abs(c3)),
+        ratio(abs(D1 - (D2 + D3 - t1 * c1)), max(abs(D1), abs(D2), abs(D3), t1 * abs(c1))),
+        ratio(abs(D2 - (D3 + D1 - t2 * c2)), max(abs(D2), abs(D3), abs(D1), t2 * abs(c2))),
+        ratio(abs(D3 - (D1 + D2 - t3 * c3)), max(abs(D3), abs(D1), abs(D2), t3 * abs(c3))),
     )
     proj_res = (
-        abs(d1 - abs(d2 * c3 + d3 * c2)) / max(1.0, d1),
-        abs(d2 - abs(d3 * c1 + d1 * c3)) / max(1.0, d2),
-        abs(d3 - abs(d1 * c2 + d2 * c1)) / max(1.0, d3),
+        ratio(abs(d1 - abs(d2 * c3 + d3 * c2)), d1),
+        ratio(abs(d2 - abs(d3 * c1 + d1 * c3)), d2),
+        ratio(abs(d3 - abs(d1 * c2 + d2 * c1)), d3),
     )
     return cos_res, proj_res
 
@@ -204,6 +209,16 @@ def test_quadratic_form_keeps_every_product_that_is_not_nan(x, y):
 @example(D=(-5.713998478090011e+16, -5039812435582682.0, -5.422627517033898e+16),
          d=(NAN_PAYLOAD_1, -math.nan, math.inf), thetas=(1.1, 299.1179880148793, 1e-05),
          ks=(KleinIndex.M1, KleinIndex.P1, KleinIndex.M1))
+# every magnitude below 1, where a floor at 1.0 would have divided instead
+@example(D=(0.5625, -0.36, 0.81), d=(0.75, 0.6, 0.9),
+         thetas=(0.3, -0.2, 0.1), ks=(KleinIndex.P1, KleinIndex.H, KleinIndex.M1))
+@example(D=(0.25, 1e-300, -0.98), d=(0.5000000000000001, 1.0, 0.99),
+         thetas=(1.0, 2.0, 3.0), ks=(KleinIndex.MH, KleinIndex.P1, KleinIndex.P1))
+# D that underflowed to 0: a divisor of 0 gives NaN, never ZeroDivisionError
+@example(D=(0.0, 0.0, -0.0), d=(0.0, 0.0, -0.0),
+         thetas=(0.5, 0.25, -0.75), ks=(KleinIndex.P1,) * 3)
+@example(D=(0.0, 4.0, -9.0), d=(0.0, 2.0, 3.0),
+         thetas=(0.0, 1.0, 2.0), ks=(KleinIndex.H, KleinIndex.P1, KleinIndex.M1))
 def test_law_of_cosines_check_matches_the_max_form(D, d, thetas, ks):
     # a real triangle whose cached elements are patched to hold any doubles,
     # NaN and inf among them; the law reads only the patched record
@@ -212,5 +227,6 @@ def test_law_of_cosines_check_matches_the_max_form(D, d, thetas, ks):
     _set_elements(tri, TriangleElements(D, d, angles, 7.5))
     c = tuple(cosh_e(a) for a in angles)
     got = tri.law_of_cosines_check()
-    want = old_law_of_cosines_check(D, d, c)
+    want = max_law_of_cosines_check(D, d, c)
     assert bits_or_nan(*got[0], *got[1]) == bits_or_nan(*want[0], *want[1])
+    assert all(math.isnan(r) for r, d_i in zip(got[1], d) if d_i == 0.0)

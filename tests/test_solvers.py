@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh
 from pseudoeuclid.errors import (
+    DegenerateTriangle,
     Inconsistent,
     InvalidInput,
     NullSide,
@@ -375,6 +376,29 @@ def test_sss_decides_realizability_by_the_exact_sign_of_q(D, realizable):
     # realizable data whose rounded cosine lies on the base line close flat
     with pytest.raises(Inconsistent, match="degenerate figure" if realizable else "Q > 0"):
         solve_sss(*D)
+
+
+WRONG_SIDE = ("the rays meet on the wrong side: not all of sinh_e(theta1), "
+              "sinh_e(theta2), sign(D3) sinh_e(theta1 + theta2) are > 0")
+
+
+@pytest.mark.parametrize("solve, args, error, message", [
+    # exact Q = 0 fails the realizability test, before the cosine is formed
+    (solve_sss, (4.0, 1.0, 1.0), Inconsistent,
+     "square sides violate the realizability condition Q > 0"),
+    # sinh_e(theta1) = 0 opens neither way: the constructor refuses the flat placement
+    (solve_sas, (ExtendedAngle(0.0, P1), 4.0, 1.0), DegenerateTriangle, "vertices are collinear"),
+    # sinh_e(theta1) = 0 or sinh_e(theta2) = 0 fails the sign test, before any placement
+    (solve_asa, (ExtendedAngle(0.0, P1), ExtendedAngle(1.0, P1), 1.0), Inconsistent, WRONG_SIDE),
+    (solve_asa, (ExtendedAngle(1.0, P1), ExtendedAngle(0.0, P1), 1.0), Inconsistent, WRONG_SIDE),
+], ids=["sss-q-zero", "sas-sinh1-zero", "asa-sinh1-zero", "asa-sinh2-zero"])
+def test_solver_sign_tests_at_exact_equality(solve, args, error, message):
+    # NullSide and DegenerateTriangle are Inconsistent too, so the exact type
+    # and message tell which test refused
+    with pytest.raises(Inconsistent) as info:
+        solve(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_solvers_decide_without_building_elements(monkeypatch):

@@ -368,6 +368,26 @@ def test_law_of_sines_residual_does_not_depend_on_scale(k):
     assert scaled.law_of_sines_residual() == tri.law_of_sines_residual() <= 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), k=st.integers(-500, 500))
+@example(seed=1, k=-380)
+@example(seed=1, k=-500)
+@example(seed=1, k=500)
+def test_law_residuals_do_not_depend_on_scale(seed, k):
+    # scaling by 2^k scales every D, S and 2 d_j d_k by 4^k exactly while they
+    # stay normal doubles, and each residual over the magnitude its identity
+    # holds keeps every bit; a floor at 1.0 would not
+    tri = random_triangle(random.Random(seed))
+    scaled = Triangle(*(P(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in tri.vertices))
+    el = scaled.elements()
+    assume(all(2.0 ** -1022 <= abs(v) < math.inf for v in (*el.D, el.S)))
+    sines, cosines = tri.law_of_sines_residual(), tri.law_of_cosines_check()
+    assert sines <= 1e-10 and max(cosines[0] + cosines[1]) <= 1e-9
+    got = scaled.law_of_cosines_check()
+    assert scaled.law_of_sines_residual().hex() == sines.hex()
+    assert [r.hex() for r in got[0] + got[1]] == [r.hex() for r in cosines[0] + cosines[1]]
+
+
 def test_law_of_sines_residual_is_nan_where_2s_rounds_to_zero():
     tri = Triangle(P(0, 0), P(1e-160, 0), P(1e-163, 5e-164))
     assert tri.elements().S == 0.0
