@@ -7,6 +7,13 @@ half the cost of the generic object setter, then calls ``__post_init__``
 where it has one; write-backs and caches use the same setters.  The base
 compares, hashes, prints and pickles an instance by its field tuple and
 refuses every ``obj.name = value``.
+
+Values are validated once, where they enter: every public constructor and
+function runs the checks.  Two hot records also have a trusted constructor,
+``angle._make_angle`` and ``hypnum._make_number``: ``object.__new__`` plus
+the setters, with no ``__init__`` frame and no ``__post_init__``.  Only the
+forward path may use them, at sites whose values are finite floats (and a
+``KleinIndex``) by construction; ``tests/test_api.py`` lists those sites.
 """
 from __future__ import annotations
 

@@ -110,6 +110,16 @@ class ExtendedAngle(_Value):
 
 
 _set_theta, _set_k = _setters(ExtendedAngle)
+_new = object.__new__
+
+
+def _make_angle(theta: float, k: KleinIndex) -> ExtendedAngle:
+    # ExtendedAngle(theta, k) without __init__ and __post_init__, for a finite
+    # float theta and a KleinIndex k only (the _value module docstring says where)
+    a = _new(ExtendedAngle)
+    _set_theta(a, theta)
+    _set_k(a, k)
+    return a
 
 
 def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:
@@ -192,7 +202,9 @@ def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:
         c, s = x1 * x2 - y1 * y2, x1 * y2 - y1 * x2
         au, aw, ac, as_ = abs(u), abs(w), abs(c), abs(s)
     theta = 0.5 * math.log1p(2.0 * (as_ if as_ < ac else ac) / (aw if aw < au else au))
-    return ExtendedAngle(math.copysign(theta, c * s), _BY_SIGNS[u > 0][w > 0])
+    # trusted: the null coordinates of a finite non-null vector differ by at most
+    # about 2^54 in doubles, so the ratio, and with it theta, is finite
+    return _make_angle(math.copysign(theta, c * s), _BY_SIGNS[u > 0][w > 0])
 
 
 def from_point(x: float, y: float) -> ExtendedAngle:

@@ -114,12 +114,23 @@ class HyperbolicNumber(_Value):
 
 
 _set_x, _set_y = _setters(HyperbolicNumber)
+_new = object.__new__
+
+
+def _make_number(x: float, y: float) -> HyperbolicNumber:
+    # HyperbolicNumber(x, y) without __init__ and __post_init__, for finite
+    # floats x and y only (the _value module docstring says where)
+    z = _new(HyperbolicNumber)
+    _set_x(z, x)
+    _set_y(z, y)
+    return z
 
 
 def euler(a: ExtendedAngle) -> HyperbolicNumber:
     """The unit number k * exp(h * theta) = cosh_e + h sinh_e."""
     c, s = _angle.cosh_sinh(a)
-    return HyperbolicNumber(c, s)
+    # trusted: cosh_sinh refuses |theta| > THETA_MAX, so both are finite floats
+    return _make_number(c, s)
 
 
 def classify_sector(z: HyperbolicNumber) -> Sector:

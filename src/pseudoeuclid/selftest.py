@@ -13,11 +13,11 @@ import random
 from collections.abc import Iterator
 
 from . import angle as _angle
-from .angle import ExtendedAngle, KleinIndex
+from .angle import ExtendedAngle, KleinIndex, _make_angle
 from .errors import InvalidInput, PseudoEuclidError
-from .geometry import Motion, PointP
+from .geometry import Motion
 from .hyperbola import circumscribed
-from .hypnum import HyperbolicNumber, euler, from_polar, to_polar
+from .hypnum import _make_number, euler, from_polar, to_polar
 from .tol import quadratic_form
 from .triangle import Triangle, _worst
 
@@ -49,7 +49,8 @@ THRESHOLDS = {
 
 
 def random_angle(rng: random.Random) -> ExtendedAngle:
-    return ExtendedAngle(rng.uniform(-ANGLE_RANGE, ANGLE_RANGE), rng.choice(_ALL_KS))
+    # trusted: rng.uniform is lo + span * rng.random(), a finite float, and rng.choice a member
+    return _make_angle(rng.uniform(-ANGLE_RANGE, ANGLE_RANGE), rng.choice(_ALL_KS))
 
 
 def _near_null(dx: float, dy: float) -> bool:
@@ -73,15 +74,16 @@ def random_triangle(rng: random.Random) -> Triangle:
         if abs(ex * fy - ey * fx) < TRIANGLE_MARGIN * math.hypot(ex, ey) * math.hypot(fx, fy):
             continue
         try:
-            return Triangle(PointP(x1, y1), PointP(x2, y2), PointP(x3, y3))
+            # trusted: each coordinate is lo + span * draw(); the triangle itself validates
+            return Triangle(_make_number(x1, y1), _make_number(x2, y2), _make_number(x3, y3))
         except PseudoEuclidError:  # pragma: no cover - excluded by the margins
             continue
 
 
 def random_motion(rng: random.Random) -> Motion:
-    rot = ExtendedAngle(rng.uniform(-MOTION_ANGLE_RANGE, MOTION_ANGLE_RANGE),
-                        rng.choice(_PROPER_KS))
-    return Motion(rot, HyperbolicNumber(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)))
+    # trusted: uniform draws and a member, as in random_angle
+    rot = _make_angle(rng.uniform(-MOTION_ANGLE_RANGE, MOTION_ANGLE_RANGE), rng.choice(_PROPER_KS))
+    return Motion(rot, _make_number(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)))
 
 
 def _check_quadratic(rng: random.Random, n: int) -> Iterator[float]:
@@ -116,7 +118,8 @@ def _check_angle_roundtrip(rng: random.Random, n: int) -> Iterator[float]:
 def _check_polar_roundtrip(rng: random.Random, n: int) -> Iterator[float]:
     count = 0
     while count < n:
-        z = HyperbolicNumber(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX))
+        # trusted: two uniform draws, as in random_angle
+        z = _make_number(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX))
         if z.is_null():
             continue
         count += 1

@@ -72,6 +72,9 @@ class Triangle(_Value):
         _set_p1(self, p1)
         _set_p2(self, p2)
         _set_p3(self, p3)
+        # set, so that the first elements() finds None instead of raising and
+        # catching an AttributeError inside getattr
+        _set_elements(self, None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -129,6 +132,7 @@ class Triangle(_Value):
         is returned on every later one.  It is kept outside the fields:
         equality, hashing and repr see only the vertices.
         """
+        # getattr with a default: a copy made by _value._rebuild has the slot unset
         el = getattr(self, "_elements", None)
         if el is None:
             p1, p2, p3 = self.p1, self.p2, self.p3
@@ -411,7 +415,12 @@ def solve_sss(D1: float, D2: float, D3: float) -> Triangle:
 
 def realizability(D1: float, D2: float, D3: float) -> float:
     """Q = sum of squares minus twice the pairwise products, exact on integers;
-    positive iff the three square sides close into a genuine triangle, with (2S)^2 = Q/4."""
-    return (D1 * D1 + D2 * D2 + D3 * D3
-            - 2 * (D1 * D2 + D1 * D3 + D2 * D3))
+    positive iff the three square sides close into a genuine triangle, with (2S)^2 = Q/4.
+    It refuses nothing: an int beyond the doubles that meets a float counts as the
+    infinity of its sign, so Q is then inf or NaN, as for an infinite float."""
+    try:
+        return (D1 * D1 + D2 * D2 + D3 * D3
+                - 2 * (D1 * D2 + D1 * D3 + D2 * D3))
+    except OverflowError:  # an int beyond the doubles met a float
+        return realizability(_as_float(D1), _as_float(D2), _as_float(D3))
 

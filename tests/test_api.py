@@ -2,7 +2,8 @@
 declared once, in the ``__all__`` of the module that defines it, nothing is defined
 unread, there is one type per shape of record, only ``_value._rebuild`` sets a slot
 through ``object.__setattr__``, importing the CLI loads neither ``dataclasses`` nor
-``inspect``, and the forward-path kernels compare instead of calling ``min`` or ``max``."""
+``inspect``, the forward-path kernels compare instead of calling ``min`` or ``max``,
+and the trusted constructors run only where their values need no check."""
 from __future__ import annotations
 
 import ast
@@ -183,6 +184,58 @@ def test_forward_path_kernels_compare_instead_of_calling_min_or_max():
                     found.add(f"{name}:{inner.lineno} loops over a display")
     assert seen == {f"{name}:{k}" for name, kernels in COMPARING_KERNELS.items() for k in kernels}
     assert not found, sorted(found)
+
+
+# the sites allowed to call each trusted constructor, by module and qualified
+# name: each builds from values finite by construction and says why there
+TRUSTED_SITES = {
+    "_make_angle": {"angle.py:_angle_of", "selftest.py:random_angle", "selftest.py:random_motion"},
+    "_make_number": {"hypnum.py:euler", "selftest.py:random_triangle", "selftest.py:random_motion",
+                     "selftest.py:_check_polar_roundtrip"},
+}
+
+
+def _owners(tree: ast.Module) -> dict[int, str]:
+    """The qualified name of the innermost function around each node, by node id."""
+    owners: dict[int, str] = {}
+
+    def visit(node: ast.AST, prefix: str, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.", prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", owner)
+            else:
+                if owner is not None:
+                    owners[id(child)] = owner
+                visit(child, prefix, owner)
+
+    visit(tree, "", None)
+    return owners
+
+
+def test_trusted_constructors_are_called_only_from_their_sites():
+    # _make_angle and _make_number skip __post_init__, so every public
+    # constructor and function validates; any other mention of either, a
+    # call, an alias or a string that getattr could read, fails here
+    found = {name: set() for name in TRUSTED_SITES}
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owners = _owners(tree)
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in found and not (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)):
+                site = f"{path.name}:{owners.get(id(node), '<module>')}"
+                found[name].add(site if id(node) in called else f"{site} without a call")
+    assert found == TRUSTED_SITES
 
 
 def test_no_import_inside_a_function():

@@ -4,7 +4,9 @@ keeps a copy of the builtin form a kernel replaced and checks the kernel
 against it bit for bit (``struct`` bytes, so signed zeros and NaNs count), on
 the inputs where the two forms could part: NaN, infinities and ties.  Where an
 operation meets two NaNs, as in the law of cosines, CPython fixes neither the
-payload nor the sign of the result, so that test counts a NaN as a NaN."""
+payload nor the sign of the result, so that test counts a NaN as a NaN.  The
+records that the angle kernel and ``euler`` build without ``__post_init__``
+pass that check on every input the two accept."""
 from __future__ import annotations
 
 import math
@@ -14,11 +16,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex, _angle_of, cosh_e, from_point
+from pseudoeuclid.angle import (
+    THETA_MAX,
+    ExtendedAngle,
+    KleinIndex,
+    _angle_of,
+    cosh_e,
+    cosh_sinh,
+    from_point,
+)
 from pseudoeuclid.errors import NullDirection
 from pseudoeuclid.geometry import PointP
-from pseudoeuclid.hypnum import HyperbolicNumber, angle_between
-from pseudoeuclid.tol import is_null_xy, quadratic_form, rescaled
+from pseudoeuclid.hypnum import HyperbolicNumber, angle_between, euler
+from pseudoeuclid.tol import DEFAULT_NULL_EPS, is_null_xy, null_eps, quadratic_form, rescaled, set_null_eps
 from pseudoeuclid.triangle import Triangle, TriangleElements, _set_elements
 
 # the sign-pair map and product table as they were built, on tuple keys
@@ -230,3 +240,63 @@ def test_law_of_cosines_check_matches_the_max_form(D, d, thetas, ks):
     want = max_law_of_cosines_check(D, d, c)
     assert bits_or_nan(*got[0], *got[1]) == bits_or_nan(*want[0], *want[1])
     assert all(math.isnan(r) for r, d_i in zip(got[1], d) if d_i == 0.0)
+
+
+# finite doubles of every exponent and sign: signed zeros, subnormals, and
+# both sides of the angle kernel's band edges 2^+-900 and of the 2^+-450 it
+# rescales to
+signed = st.builds(lambda m, e, neg: -math.ldexp(m, e) if neg else math.ldexp(m, e), mantissas,
+                   st.one_of(exponents, st.sampled_from([-451, -450, -449, 449, 450, 451])),
+                   st.booleans())
+components = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), signed)
+
+
+def near_null(x: float, steps: int, flip: bool) -> tuple[float, float]:
+    # (x, +-y) with y a few ulps below |x|: null coordinates as far apart as doubles allow
+    y = x
+    for _ in range(steps):
+        y = math.nextafter(y, 0.0)
+    return x, -y if flip else y
+
+
+vectors = st.one_of(st.tuples(components, components),
+                    st.builds(near_null, signed, st.integers(1, 3), st.booleans()))
+ONE_BELOW = math.nextafter(1.0, 0.0)
+
+
+# the tiny threshold lets the near-null vectors through, whose angles are the largest
+@pytest.mark.parametrize("eps", [DEFAULT_NULL_EPS, 5e-324])
+@settings(max_examples=500, deadline=None)
+@given(v1=vectors, v2=vectors)
+@example(v1=(1.0, ONE_BELOW), v2=(1.0, -ONE_BELOW))
+@example(v1=(-0.0, 5e-324), v2=(2.0 ** 900, -0.0))
+@example(v1=(2.0 ** -900, 2.0 ** -901), v2=(2.0 ** 450, -(2.0 ** 449)))
+@example(v1=(1.7e308, -ONE_BELOW * 1.7e308), v2=(-1.7e308, -ONE_BELOW * 1.7e308))
+def test_the_angle_kernel_builds_only_angles_the_check_accepts(eps, v1, v2):
+    # _angle_of builds its result without __post_init__; on every pair of finite
+    # non-null vectors that record passes the check it skipped
+    before = null_eps()
+    set_null_eps(eps)
+    try:
+        if is_null_xy(*v1) or is_null_xy(*v2):
+            return
+        got = _angle_of(*v1, *v2)
+    finally:
+        set_null_eps(before)
+    assert type(got.theta) is float
+    got.__post_init__()
+
+
+@settings(max_examples=500, deadline=None)
+@given(theta=st.floats(min_value=-THETA_MAX, max_value=THETA_MAX), k=st.sampled_from(list(KleinIndex)))
+@example(theta=THETA_MAX, k=KleinIndex.H)
+@example(theta=-THETA_MAX, k=KleinIndex.MH)
+@example(theta=-0.0, k=KleinIndex.M1)
+@example(theta=5e-324, k=KleinIndex.P1)
+def test_euler_builds_only_numbers_the_check_accepts(theta, k):
+    # euler builds its result without __post_init__: the number passes the
+    # check it skipped and equals the validated one, bit for bit
+    z = euler(ExtendedAngle(theta, k))
+    assert type(z.x) is float and type(z.y) is float
+    z.__post_init__()
+    assert bits(z.x, z.y) == bits(*cosh_sinh(ExtendedAngle(theta, k)))

@@ -30,7 +30,7 @@ from pseudoeuclid.hyperbola import EquilateralHyperbola, circumscribed
 from pseudoeuclid.hypnum import HyperbolicNumber, from_polar, to_polar
 from pseudoeuclid.selftest import run_selftest
 from pseudoeuclid.tol import DEFAULT_NULL_EPS, null_eps, set_null_eps
-from pseudoeuclid.triangle import Triangle, solve_asa, solve_sas, solve_ssa, solve_sss
+from pseudoeuclid.triangle import Triangle, realizability, solve_asa, solve_sas, solve_ssa, solve_sss
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 klein = st.sampled_from(list(KleinIndex))
@@ -204,6 +204,24 @@ def test_an_int_beyond_the_doubles_is_refused_as_infinite(k, sign):
             entry()
         assert str(info.value) == message
     assert null_eps() == DEFAULT_NULL_EPS
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 2000), st.sampled_from([1, -1]), finite, finite, st.permutations(range(3)))
+@example(10 ** 400 - 2 ** 1024, 1, 1.0, 1.0, [0, 1, 2])
+@example(0, -1, 0.0, -0.0, [2, 0, 1])
+def test_realizability_reads_an_int_beyond_the_doubles_as_infinite(k, sign, a, b, order):
+    # realizability refuses nothing: where the int meets a float it counts as
+    # the infinity of its sign, so Q is what that infinity gives, inf or NaN
+    v = sign * (2 ** 1024 + k)
+    args = [(v, a, b)[i] for i in order]
+    want = realizability(*[math.copysign(math.inf, sign) if x is v else x for x in args])
+    got = realizability(*args)
+    assert not got < math.inf
+    assert got == want or got != got and want != want
+    # on ints alone Q stays exact
+    assert realizability(v, 1, -1) == v * v + 4
+    assert realizability(v, v, 1) == 1 - 4 * v
 
 
 @settings(max_examples=100, deadline=None)
