@@ -11,9 +11,11 @@ refuses every ``obj.name = value``.
 Values are validated once, where they enter: every public constructor and
 function runs the checks.  Two hot records also have a trusted constructor,
 ``angle._make_angle`` and ``hypnum._make_number``: ``object.__new__`` plus
-the setters, with no ``__init__`` frame and no ``__post_init__``.  Only the
-forward path may use them, at sites whose values are finite floats (and a
-``KleinIndex``) by construction; ``tests/test_api.py`` lists those sites.
+the setters, with no ``__init__`` frame and no ``__post_init__``.  They run
+only at sites whose values are finite floats (and a ``KleinIndex``) by
+construction or by a test the site has just made: the forward path, the
+solvers' placement of the two new vertices and the circumscribed center;
+``tests/test_api.py`` lists those sites.
 """
 from __future__ import annotations
 

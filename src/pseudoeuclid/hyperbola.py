@@ -17,7 +17,7 @@ from ._value import _Value, _setters
 from .angle import _P1, ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection, ParallelRays
 from .geometry import PELine, PointP, _normalized_dot, _parallel, displacement, midpoint
-from .hypnum import HyperbolicNumber, angle_between, euler
+from .hypnum import HyperbolicNumber, _make_number, angle_between, euler
 from .tol import _as_float, quadratic_form, rescaled
 
 __all__ = ["Chord", "ChordClass", "EquilateralHyperbola", "circumscribed"]
@@ -108,7 +108,7 @@ class EquilateralHyperbola(_Value):
         """n points with evenly spaced parameters on arm k, endpoints included."""
         if k not in self.arms:
             raise InvalidInput(f"arm {k.label} does not occur on this hyperbola")
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise InvalidInput(f"sample count must be an int, got {n!r}")
         if n < 1:
             raise InvalidInput(f"need at least one sample, got n={n}")
@@ -240,7 +240,10 @@ def circumscribed(tri) -> EquilateralHyperbola:
     # a nonzero P that fits bounds |c - p1|^2 by 2^54 |P|, so only where P
     # rounds to 0 can the center leave the doubles
     try:
-        center = PointP(p1.x + math.ldexp(a, -s), p1.y + math.ldexp(b, -s))
-    except (OverflowError, InvalidInput) as exc:
-        raise InvalidInput(f"the center p1 + 2**{-s} * ({a!r}, {b!r}) does not fit a double") from exc
-    return EquilateralHyperbola(center, P)
+        cx, cy = p1.x + math.ldexp(a, -s), p1.y + math.ldexp(b, -s)
+    except OverflowError:
+        cx = cy = math.inf
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise InvalidInput(f"the center p1 + 2**{-s} * ({a!r}, {b!r}) does not fit a double")
+    # trusted: both coordinates passed the test above
+    return EquilateralHyperbola(_make_number(cx, cy), P)

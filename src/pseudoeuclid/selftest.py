@@ -203,7 +203,7 @@ def _check_circum(pool) -> Iterator[float]:
 
 def run_selftest(seed: int = 0, n: int = 1000) -> dict:
     """Run every suite at n samples; returns a JSON-ready report."""
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidInput(f"sample count must be an int, got {n!r}")
     if n <= 0:
         raise InvalidInput(f"sample count must be positive, got {n}")

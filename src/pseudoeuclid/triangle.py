@@ -24,6 +24,7 @@ from .errors import DegenerateTriangle, Inconsistent, InvalidInput, NullSide, Pa
 from .geometry import Motion, PointP, _moved, _negated_product, _parallel
 # angle_between is re-exported: the public angle is reachable from this module too
 from .hypnum import angle_between  # noqa: F401
+from .hypnum import _make_number
 from .tol import _as_float, is_null_xy, quadratic_form, rescaled
 
 __all__ = [
@@ -214,7 +215,7 @@ class Triangle(_Value):
     def is_right_angle_at(self, i: int) -> bool:
         """True when vertex i (1-based) carries a right angle, i.e. its
         extended cosine vanishes (the angle is (0, +-h) up to tolerance)."""
-        if not isinstance(i, int) or i not in (1, 2, 3):
+        if not isinstance(i, int) or isinstance(i, bool) or i not in (1, 2, 3):
             raise InvalidInput(f"vertex index must be 1, 2 or 3, got {i!r}")
         a = self.elements().angles[i - 1]
         return abs(_angle.cosh_e(a)) <= RIGHT_ANGLE_TOL
@@ -277,9 +278,11 @@ def _place(c1: float, s1: float, d2: float, D3: float) -> tuple[PointP, PointP, 
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInput("the third vertex d2 (c1, s1) does not fit a double")
     d3 = math.sqrt(abs(D3))
+    # trusted: x and y passed the test above, and d3 is the root of a D3 that
+    # _as_square found finite
     if D3 > 0:
-        return _ORIGIN, PointP(d3, 0.0), PointP(x, y)
-    return _ORIGIN, PointP(0.0, -d3), PointP(y, x)
+        return _ORIGIN, _make_number(d3, 0.0), _make_number(x, y)
+    return _ORIGIN, _make_number(0.0, -d3), _make_number(y, x)
 
 
 def solve_ssa(theta1: ExtendedAngle, D1: float, D3: float) -> list[Triangle]:

@@ -191,7 +191,8 @@ def test_forward_path_kernels_compare_instead_of_calling_min_or_max():
 TRUSTED_SITES = {
     "_make_angle": {"angle.py:_angle_of", "selftest.py:random_angle", "selftest.py:random_motion"},
     "_make_number": {"hypnum.py:euler", "selftest.py:random_triangle", "selftest.py:random_motion",
-                     "selftest.py:_check_polar_roundtrip"},
+                     "selftest.py:_check_polar_roundtrip", "triangle.py:_place",
+                     "hyperbola.py:circumscribed"},
 }
 
 

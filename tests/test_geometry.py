@@ -26,6 +26,8 @@ from pseudoeuclid.geometry import (
 )
 from pseudoeuclid.hypnum import HyperbolicNumber, euler
 
+from builds import counting_builds
+
 H = HyperbolicNumber
 P = PointP
 
@@ -301,10 +303,7 @@ def test_inverted_builds_only_the_offset_it_keeps(theta, k, ox, oy):
     motion = Motion(ExtendedAngle(theta, k), H(ox, oy))
     back = ExtendedAngle(-theta, k)
     expected = -(motion.offset * euler(back))
-    built = []
-    post_init = HyperbolicNumber.__post_init__
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(HyperbolicNumber, "__post_init__", lambda z: built.append(z) or post_init(z))
+    with counting_builds(HyperbolicNumber) as built:
         inv = motion.inverted()
     assert len(built) == 1 and built[0] is inv.offset
     # the offset the parent formed as a product and its negation, bit for bit

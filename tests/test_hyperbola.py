@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -20,6 +21,8 @@ from pseudoeuclid.geometry import PointP, square_distance
 from pseudoeuclid.hyperbola import ChordClass, EquilateralHyperbola, circumscribed
 from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.triangle import Triangle
+
+from builds import counting_builds
 
 P = PointP
 H1 = KleinIndex.H
@@ -388,14 +391,56 @@ def test_circumscribed_names_a_center_that_does_not_fit_a_double():
         circumscribed(tri)
 
 
-def test_circumscribed_builds_its_center_and_no_other_number(monkeypatch):
+def test_circumscribed_builds_its_center_and_no_other_number():
     tri = Triangle(P(0, 0), P(5, 0), P(5, 3))
     # a point is the hyperbolic number with its coordinates: this counts every number
-    built = []
-    post_init = PointP.__post_init__
-    monkeypatch.setattr(PointP, "__post_init__", lambda z: built.append(z) or post_init(z))
-    hyp = circumscribed(tri)
+    with counting_builds(PointP) as built:
+        hyp = circumscribed(tri)
     assert len(built) == 1 and built[0] is hyp.center
+
+
+def _moved_triangle(seed: int, k: int, shift: tuple[float, float]) -> Triangle | None:
+    """random_triangle scaled by 2^k and moved by shift, or None where a vertex
+    leaves the doubles or the constructor refuses."""
+    vertices = random_triangle(random.Random(seed)).vertices
+    try:
+        return Triangle(*(P(math.ldexp(p.x, k) + shift[0], math.ldexp(p.y, k) + shift[1])
+                          for p in vertices))
+    except (OverflowError, PseudoEuclidError):
+        return None
+
+
+EDGES = st.sampled_from((0.0, 2.0 ** 1023, -(2.0 ** 1023), sys.float_info.max, -sys.float_info.max))
+SEEDS = st.integers(0, 2 ** 32 - 1)
+# at every scale, and out at the largest double, where only a triangle about as
+# large as its ulp 2^971 constructs (and then P does not fit)
+MOVED_TRIANGLES = st.one_of(
+    st.builds(_moved_triangle, SEEDS, st.integers(-1000, 1000), st.just((0.0, 0.0))),
+    st.builds(_moved_triangle, SEEDS, st.integers(968, 1019), st.tuples(EDGES, EDGES)))
+# the stand-in of test_circumscribed_names_a_center_that_does_not_fit_a_double:
+# P is exactly 0, and the center p1 + 2^1022 (1, 1) lies beyond the largest double
+_P1_NEAR_EDGE = P(-2.0 ** 1020, 1.5 * 2.0 ** 1023)
+BEYOND = SimpleNamespace(p1=_P1_NEAR_EDGE, p2=_P1_NEAR_EDGE + P(2.0 ** 1019, 2.0 ** 1019),
+                         p3=_P1_NEAR_EDGE + P(2.0 ** 1023, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(MOVED_TRIANGLES)
+@example(BEYOND)
+def test_circumscribed_builds_only_centers_the_check_accepts(tri):
+    # circumscribed builds its center without __post_init__: every number it
+    # builds, at every scale and out to the largest double, passes the check
+    # it skipped
+    if tri is None:
+        return
+    with counting_builds(PointP) as built:
+        try:
+            circumscribed(tri)
+        except PseudoEuclidError:
+            pass
+    for z in built:
+        assert type(z.x) is float and type(z.y) is float
+        z.__post_init__()
 
 
 @settings(max_examples=400, deadline=None)

@@ -225,9 +225,11 @@ def test_realizability_reads_an_int_beyond_the_doubles_as_infinite(k, sign, a, b
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats() | st.text(max_size=3))
+@given(st.floats() | st.text(max_size=3) | st.booleans())
 @example(1.5)
 @example("3")
+@example(True)
+@example(False)
 def test_a_count_that_is_not_an_int_is_refused(n):
     hyp = EquilateralHyperbola(PointP(0.0, 0.0), 1.0)
     for entry in (lambda: run_selftest(0, n), lambda: hyp.sample_arm(KleinIndex.P1, 0.0, 1.0, n)):

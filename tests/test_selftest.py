@@ -20,6 +20,8 @@ from pseudoeuclid.selftest import (
 )
 from pseudoeuclid.triangle import Triangle
 
+from builds import counting_builds
+
 
 @pytest.mark.parametrize("seed, n", [(0, 10_000), (61, 300), (135, 300), (278, 300)])
 def test_formerly_failing_seeds_pass(seed, n):
@@ -101,21 +103,18 @@ def test_angle_sum_cosh_target_does_not_depend_on_scale(k):
 
 
 def test_each_triangle_computes_its_angles_once(monkeypatch):
-    counts = {"angles": 0, "triangles": 0}
-    angle_of, post_init = triangle._angle_of, Triangle.__post_init__
+    angles = 0
+    angle_of = triangle._angle_of
 
     def counted_angle_of(*coords):
-        counts["angles"] += 1
+        nonlocal angles
+        angles += 1
         return angle_of(*coords)
-
-    def counted_post_init(self):
-        post_init(self)
-        counts["triangles"] += 1
 
     # elements() calls the angle kernel directly, once per vertex
     monkeypatch.setattr(triangle, "_angle_of", counted_angle_of)
-    monkeypatch.setattr(Triangle, "__post_init__", counted_post_init)
-    run_selftest(5, 50)
+    with counting_builds(Triangle) as built:
+        run_selftest(5, 50)
     # the suites ask each triangle for its elements up to 7 times
-    assert counts["triangles"] == 150
-    assert counts["angles"] == 3 * counts["triangles"]
+    assert len(built) == 150
+    assert angles == 3 * len(built)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudoeuclid.angle import ExtendedAngle, KleinIndex, cosh_sinh
+from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex, cosh_sinh
 from pseudoeuclid.errors import (
     DegenerateTriangle,
     Inconsistent,
@@ -30,6 +30,8 @@ from pseudoeuclid.triangle import (
     solve_ssa,
     solve_sss,
 )
+
+from builds import counting_builds
 
 P = PointP
 P1, H, M1 = KleinIndex.P1, KleinIndex.H, KleinIndex.M1
@@ -410,23 +412,19 @@ def test_solvers_decide_without_building_elements(monkeypatch):
     def refuse(self):
         raise AssertionError("a solver built the elements of a candidate")
 
-    built = []
-    post_init = HyperbolicNumber.__post_init__
     monkeypatch.setattr(Triangle, "elements", refuse)
-    monkeypatch.setattr(HyperbolicNumber, "__post_init__", lambda z: built.append(z) or post_init(z))
     assert _ORIGIN == P(0.0, 0.0)
 
     def solved(solver, *args) -> int:
-        del built[:]
-        got = solver(*args)
+        with counting_builds(HyperbolicNumber) as built:
+            got = solver(*args)
         found = got if isinstance(got, list) else [got]
         assert len(built) == 2 * len(found), (solver.__name__, args, len(built))
         assert all(t.p1 is _ORIGIN for t in found), (solver.__name__, args)
         return len(found)
 
     def refused(numbers, exc, match, solver, *args) -> None:
-        del built[:]
-        with pytest.raises(exc, match=match):
+        with counting_builds(HyperbolicNumber) as built, pytest.raises(exc, match=match):
             solver(*args)
         assert len(built) == numbers, (solver.__name__, args, len(built))
 
@@ -518,3 +516,27 @@ def test_solvers_scale_by_powers_of_four(data, k):
             (solve_sas, (theta1, D2, D3), (theta1, S2, S3)),
             (solve_sss, (D1, D2, D3), (S1, S2, S3))):
         assert _answer(0, solver, *scaled) == _answer(k, solver, *unit), (solver.__name__, data, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(_triangle_data, st.integers(0, 2 ** 32 - 1)), st.integers(-480, 480))
+# at THETA_MAX the far SSA root places its vertex beyond the largest double,
+# and the near one within it
+@example((ExtendedAngle(THETA_MAX, P1), A06, -1.0, 1.0, 1e10), 0)
+@example((ExtendedAngle(THETA_MAX, P1), A06, -1.0, 1.0, 1e10), -480)
+@example((ExtendedAngle(300.0, P1), A06, 1e300, 1.0, 1e300), 0)
+def test_placement_builds_only_numbers_the_check_accepts(data, k):
+    # _place builds p2 and p3 without __post_init__: every number a solver
+    # builds, on data scaled by 4^k, passes the check it skipped
+    theta1, theta2, D1, D2, D3 = data
+    S1, S2, S3 = (math.ldexp(D, 2 * k) for D in (D1, D2, D3))
+    with counting_builds(HyperbolicNumber) as built:
+        for solver, args in ((solve_ssa, (theta1, S1, S3)), (solve_asa, (theta1, theta2, S3)),
+                             (solve_sas, (theta1, S2, S3)), (solve_sss, (S1, S2, S3))):
+            try:
+                solver(*args)
+            except PseudoEuclidError:
+                pass
+    for z in built:
+        assert type(z.x) is float and type(z.y) is float
+        z.__post_init__()

@@ -21,8 +21,9 @@ FAMILIES = {
     "selftest": SUITES,
     "solve": ["ssa", "asa", "sas", "sss", "circumscribed"],
     "angle": ["cosh_sinh", "cosh_e", "sinh_e", "from_point", "angle_between", "add_angles"],
+    "cli": ["classify", "solve", "circumhyperbola", "sample", "check", "eps", "malformed", "usage"],
 }
-SIZES = {"selftest": 2 * len(SUITES), "solve": 2100, "angle": 23768}
+SIZES = {"selftest": 2 * len(SUITES), "solve": 2100, "angle": 23768, "cli": 2499}
 SMALL = {"selftest_seeds": range(2), "solve_seeds": range(401, 402)}
 
 
@@ -80,6 +81,10 @@ def test_angle_diff_finds_no_difference_between_a_tree_and_itself(same):
     no_difference(same, "angle")
 
 
+def test_cli_diff_finds_no_difference_between_a_tree_and_itself(same):
+    no_difference(same, "cli")
+
+
 def test_outputs_diff_reports_each_family_and_exit_code(same, tmp_path, capfd):
     tool, src = load_tool(), str(ROOT / "src")
     status, same = same
@@ -97,6 +102,9 @@ def test_outputs_diff_reports_each_family_and_exit_code(same, tmp_path, capfd):
     assert all(moved["angle"][0][f] > 0 for f in ("cosh_sinh", "cosh_e", "sinh_e"))
     assert moved["angle"][0]["from_point"] == 0
     assert moved["angle"][2][0][11:] != moved["angle"][2][1][11:]
+    # the CLI prints the refusal of an angle beyond THETA_MAX; commands that take no angle keep theirs
+    assert moved["cli"][0]["solve"] > 0 and moved["cli"][0]["sample"] > 0
+    assert not any(moved["cli"][0][kind] for kind in ("classify", "check", "malformed", "usage"))
     # the families that raise no such refusal keep the digests of the first run
     assert moved["selftest"][2] == same["selftest"][2] and moved["solve"][2] == same["solve"][2]
 

@@ -19,6 +19,8 @@ from pseudoeuclid.selftest import random_triangle
 from pseudoeuclid.tol import null_eps, set_null_eps
 from pseudoeuclid.triangle import Triangle, TriangleElements, _set_elements
 
+from builds import counting_builds
+
 P = PointP
 LN2 = math.log(2.0)
 
@@ -194,7 +196,7 @@ def test_right_angle(tri):
     assert tri.is_right_angle_at(2)
     assert not tri.is_right_angle_at(1)
     # out of range, or not an int even where it equals a valid index
-    for i in (0, 4, 1.5, 2.0):
+    for i in (0, 4, 1.5, 2.0, True, False):
         with pytest.raises(InvalidInput) as info:
             tri.is_right_angle_at(i)
         assert str(info.value) == f"vertex index must be 1, 2 or 3, got {i!r}"
@@ -249,12 +251,10 @@ def test_canonicalize_fixture_is_fixed_point(tri):
     ((-1.5, 0.25), (-4.0, 0.5), (-2.0, 3.0)),
     ((0.5, 2.0), (0.75, -3.0), (4.0, 1.0)),
 ])
-def test_canonicalize_builds_only_the_numbers_it_keeps(vertices, monkeypatch):
+def test_canonicalize_builds_only_the_numbers_it_keeps(vertices):
     tri = Triangle(*(P(x, y) for x, y in vertices))
-    built = []
-    post_init = HyperbolicNumber.__post_init__
-    monkeypatch.setattr(HyperbolicNumber, "__post_init__", lambda z: built.append(z) or post_init(z))
-    motion, canon = tri.canonicalize()
+    with counting_builds(HyperbolicNumber) as built:
+        motion, canon = tri.canonicalize()
     # the offset and the three image vertices
     assert len(built) == 4
     assert built[0] is motion.offset and built[1:] == list(canon.vertices)

@@ -15,10 +15,17 @@ output, in one subprocess per tree and family, the two trees at once:
   ``angle_between`` and ``add_angles`` on a fixed fuzz of finite inputs
   (every Klein index, signed zeros, subnormals, the edges of the angle
   kernel's band 2^+-900 and 2^+-450, +-THETA_MAX and their neighbours, and
-  seeded draws across the exponent range), in hex or the refusal.
+  seeded draws across the exponent range), in hex or the refusal;
+- cli: a fixed corpus of about 2,500 argvs run in-process through
+  ``pseudoeuclid.cli.main``: every command and format, the
+  ``solve_requests(411)`` data as ``solve`` and ``circumhyperbola`` argvs,
+  values that start with ``-``, malformed values, ``PSEUDOEUCLID_EPS``
+  settings, usage errors and ``check`` at small n.  Each line holds the
+  argv, the exit code, and stdout and stderr escaped.  The null tolerance is
+  reset after each argv, and no argv writes a file.
 
-For each family the script prints, per kind (suite, request kind or
-function), how many lines differ and the first few places, then the count and
+For each family the script prints, per kind (suite, request kind, function
+or command), how many lines differ and the first few places, then the count and
 the sha256 of each tree's lines.  It exits 0 when no line differs, 1 when
 some line differs, and 2 when a run fails.  It reads ``bench/`` and writes
 nothing there.
@@ -26,6 +33,7 @@ nothing there.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +46,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SELFTEST_SEEDS = range(400)
 SELFTEST_N = 300
 SOLVE_SEEDS = range(401, 411)
+CLI_SOLVE_SEED = 411
 FIRST = 5
 
 # run in each tree: "suite:seed worst" per suite, then "repr:seed report"
@@ -168,6 +177,151 @@ for name, got in lines.items():
         print(f"{name}:{i} {line}")
 """
 
+# run in each tree: one line per argv, "kind:index command-line -> code stdout stderr"
+_CLI = """
+import contextlib, io, json, os, shlex, sys
+sys.dont_write_bytecode = True  # bench/ is read, never written
+sys.path.insert(0, sys.argv[1])
+import workloads
+from pseudoeuclid import cli, tol
+
+os.environ["COLUMNS"] = "80"  # argparse wraps its help and usage to this width
+FORMATS = ([], ["--format", "csv"], ["--format=json"])
+POINTS = ["1,0", "3,4", "-1,0", "-.5,2", "0,0", "1,1", "2,-2", "1e200,0", "5e-324,0",
+          "-1.7976931348623157e308,1", "1e-300,3e-300", "0.25,-0.75"]
+THETAS = ["atanh(0.6),+1", "-atanh(0.5),+h", "0.5,-1", "-0.5,-h", "0,+h", "349.9,+1", "351,+1",
+          "-0.0,+1"]
+SIDES = ["-9", "16", "25", "1e-300", "-1e300", "0.5", "-4"]
+RANGES = ["-1:1:5", "0:0:2", "-3:3:12", "-350:350:3", "-351:351:3", "1e-300:2e-300:4"]
+PHIS = ["0:3.14159:9", "0:6.283:12", "-1:1:7", "0.785398:0.785399:3"]
+EPS = ["1e-12", "1e-3", "0.5", "5e-324", "0", "-1", "nan", "inf", "abc", ""]
+SEPARATE = ("--D1", "--D2", "--D3", "--theta1", "--theta2")
+
+
+def number(x):
+    return repr(float(x))
+
+
+def angle(pair):
+    return f"{number(pair[0])},{pair[1]}"
+
+
+def option(i, name, value):
+    # every other argv passes a value as its own argument, the others with "="
+    return [name, value] if i % 2 and name in SEPARATE else [f"{name}={value}"]
+
+
+def request(i, req):
+    kind = req["kind"]
+    if kind == "circumscribed":
+        return "circumhyperbola", ["circumhyperbola", "--vertices",
+                                   *(f"{number(x)},{number(y)}" for x, y in req["vertices"])]
+    argv = ["solve", kind]
+    if kind == "sss":
+        argv += option(i, "--D", ",".join(map(number, req["D"])))
+    for name in ("theta1", "theta2"):
+        if name in req:
+            argv += option(i, f"--{name}", angle(req[name]))
+    for name in ("D1", "D2", "D3"):
+        if name in req:
+            argv += option(i, f"--{name}", number(req[name]))
+    return "solve", argv
+
+
+def corpus():
+    # (kind, PSEUDOEUCLID_EPS or None, argv), in a fixed order
+    for i, p in enumerate(POINTS):
+        for fmt in FORMATS:
+            yield "classify", None, ["classify", "--point", p, *fmt]
+            yield "classify", None, [*fmt, "classify", f"--point={p}"]
+            yield "classify", None, ["classify", "--segment", p, POINTS[i - 1], *fmt]
+    for i, theta in enumerate(THETAS):
+        for j, fmt in enumerate(FORMATS):
+            D1, D2, D3 = SIDES[i % 7], SIDES[(i + j + 1) % 7], SIDES[(i + 2 * j + 2) % 7]
+            yield "solve", None, ["solve", "ssa", *option(j, "--theta1", theta),
+                                  *option(j + 1, "--D1", D1), *option(j, "--D3", D3), *fmt]
+            yield "solve", None, ["solve", "asa", *option(j, "--theta1", theta),
+                                  f"--theta2={THETAS[i - 1]}", *option(j, "--D3", D3), *fmt]
+            yield "solve", None, [*fmt, "solve", "sas", f"--theta1={theta}",
+                                  *option(j + 1, "--D2", D2), *option(j, "--D3", D3)]
+            yield "solve", None, ["solve", "sss", f"--D={D1},{D2},{D3}", *fmt]
+    for argv in (["solve", "sss", "--D=4,1,1"], ["solve", "sas", "--theta1=0,+1", "--D2", "4", "--D3", "1"],
+                 ["solve", "asa", "--theta1=0,+1", "--theta2=1,+1", "--D3", "1"],
+                 ["solve", "ssa", "--theta1=300,+1", "--D1=1e300", "--D3=1e300"]):
+        yield "solve", None, argv
+    requests = workloads.solve_requests(int(sys.argv[2]))[0]
+    for i, req in enumerate(requests):
+        kind, argv = request(i, req)
+        yield kind, None, argv + FORMATS[i % 3]
+    for i, (a, b, c) in enumerate(zip(POINTS, POINTS[1:], POINTS[2:])):
+        yield "circumhyperbola", None, ["circumhyperbola", "--vertices", a, b, c, *FORMATS[i % 3]]
+    for i, fmt in enumerate(FORMATS):
+        for r in RANGES:
+            yield "sample", None, ["sample", "unit-hyperbolas", f"--theta={r}", *fmt]
+        for phi in PHIS:
+            for gap in ("1e-2", "0", "0.5", "nan"):
+                yield "sample", None, ["sample", "cosh-e", "--phi", phi, f"--gap-eps={gap}", *fmt]
+    for seed in range(10):
+        for n in ("1", "4"):
+            yield "check", None, ["check", "--seed", str(seed), "--n", n, *FORMATS[seed % 3]]
+    for eps in EPS:
+        for argv in (["classify", "--point", "1,0.9999"], ["classify", "--segment", "0,0", "1,0.5"],
+                     ["solve", "sss", "--D=-9,16,25"], ["sample", "cosh-e", "--phi=0:3.14159:9"],
+                     ["check", "--n", "3", "--seed", "1", "--format", "csv"]):
+            yield "eps", eps, argv
+    for argv in (["classify", "--point", "1"], ["classify", "--point", "1,2,3"], ["classify", "--point=a,b"],
+                 ["classify", "--point=nan,0"], ["classify", "--point=inf,1"], ["classify", "--point="],
+                 ["classify", "--segment", "1,0", "1,0"], ["classify", "--segment", "1e308,0", "-1e308,0"],
+                 ["solve", "ssa", "--theta1=0.5", "--D1=1", "--D3=1"],
+                 ["solve", "ssa", "--theta1=0.5,+2", "--D1=1", "--D3=1"],
+                 ["solve", "ssa", "--theta1=atanh(2),+1", "--D1=1", "--D3=1"],
+                 ["solve", "ssa", "--theta1=atanh(x),+1", "--D1=1", "--D3=1"],
+                 ["solve", "ssa", "--theta1=nan,+1", "--D1=1", "--D3=1"],
+                 ["solve", "sas", "--theta1=0.5,+1", "--D2=nan", "--D3=1"],
+                 ["solve", "sas", "--theta1=0.5,+1", "--D2=1", "--D3=inf"],
+                 ["solve", "asa", "--theta1=0.5,+1", "--theta2=0.5,+1", "--D3=0"],
+                 ["solve", "asa", "--theta1=0.5,+1", "--theta2=0.5,+1", "--D3=x"],
+                 ["solve", "sss", "--D=1,2"], ["solve", "sss", "--D=a,b,c"], ["solve", "sss", "--D=1e400,1,1"],
+                 ["circumhyperbola", "--vertices", "0,0", "1,1", "3,0"],
+                 ["circumhyperbola", "--vertices", "0,0", "1,0", "2,0"],
+                 ["circumhyperbola", "--vertices", "0,0", "1,0", "0,2", "3,3"],
+                 ["circumhyperbola", "--vertices", "-inf,0", "1,0", "0,1"],
+                 ["sample", "unit-hyperbolas", "--theta=0:1"], ["sample", "unit-hyperbolas", "--theta=0:1:1"],
+                 ["sample", "unit-hyperbolas", "--theta=a:b:3"], ["sample", "unit-hyperbolas", "--theta=0:inf:3"],
+                 ["sample", "unit-hyperbolas", "--theta=-1e308:1e308:3"],
+                 ["sample", "unit-hyperbolas", "--theta=0:1:x"],
+                 ["check", "--n", "0"], ["check", "--n", "-3"], ["check", "--n", "x"], ["check", "--seed", "x"]):
+        yield "malformed", None, argv
+    for argv in ([], ["--help"], ["classify", "-h"], ["solve"], ["solve", "ssa", "--help"],
+                 ["sample", "cosh-e", "--help"], ["check", "--help"], ["bogus"], ["--format", "xml", "check"],
+                 ["classify", "--point", "1,0", "--segment", "1,0", "2,0"], ["solve", "ssa", "--D1", "1"]):
+        yield "usage", None, argv
+
+
+def run(eps, argv):
+    if eps is None:
+        os.environ.pop(cli.ENV_EPS, None)
+    else:
+        os.environ[cli.ENV_EPS] = eps
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses an argv this way
+            code = exc.code
+        except Exception as exc:  # a crash is an output too
+            code = f"raised-{type(exc).__name__}"
+            print(exc, file=sys.stderr)
+    tol.set_null_eps(tol.DEFAULT_NULL_EPS)
+    return code, out.getvalue(), err.getvalue()
+
+
+for i, (kind, eps, argv) in enumerate(corpus()):
+    shown = shlex.join(argv) if eps is None else f"{cli.ENV_EPS}={shlex.quote(eps)} {shlex.join(argv)}"
+    code, out, err = run(eps, argv)
+    print(f"{kind}:{i} {json.dumps(shown)} -> {code} {json.dumps(out)} {json.dumps(err)}")
+"""
+
 
 def prefix_and_place(line: str) -> tuple[str, str]:
     """(suite or function, place) of a selftest or angle line."""
@@ -179,6 +333,12 @@ def kind_and_place(line: str) -> tuple[str, str]:
     """(request kind, place) of a solve line."""
     where, kind, _ = line.split(" ", 2)
     return kind, where
+
+
+def kind_and_argv(line: str) -> tuple[str, str]:
+    """(kind, the command line run) of a cli line."""
+    where, rest = line.split(" ", 1)
+    return where.split(":")[0], json.JSONDecoder().raw_decode(rest)[0]
 
 
 def start(code: str, src: str, *args: str) -> tuple[subprocess.Popen, IO[str]]:
@@ -237,6 +397,7 @@ def compare_trees(old_src: str, new_src: str, selftest_seeds: range = SELFTEST_S
          (selftest_seeds.start, selftest_seeds.stop, SELFTEST_N)),
         ("solve", _SOLVE, kind_and_place, (BENCH, solve_seeds.start, solve_seeds.stop)),
         ("angle", _ANGLE, prefix_and_place, ()),
+        ("cli", _CLI, kind_and_argv, (BENCH, CLI_SOLVE_SEED)),
     )
     differ = 0
     for family, code, key, args in families:
