@@ -27,14 +27,21 @@ TRIANGLE_COLUMNS = [
 ]
 
 
-def _parse_point(text: str) -> PointP:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidInput(f"expected X,Y but got {text!r}")
+def _split(text: str, sep: str, shape: str, what: str, convert):
+    """convert(*fields) of text split at sep, which must give one field per name
+    in shape; a ValueError from convert names the whole text as a bad {what}."""
+    fields = text.split(sep)
+    if len(fields) != len(shape.split(sep)):
+        raise InvalidInput(f"expected {shape} but got {text!r}")
     try:
-        return PointP(float(parts[0]), float(parts[1]))
+        return convert(*fields)
     except ValueError as exc:
-        raise InvalidInput(f"bad point {text!r}: {exc}") from exc
+        raise InvalidInput(f"bad {what} {text!r}: {exc}") from exc
+
+
+def _parse_point(text: str) -> PointP:
+    # PointP inside the converter: a non-finite coordinate is a bad point too
+    return _split(text, ",", "X,Y", "point", lambda x, y: PointP(float(x), float(y)))
 
 
 def _parse_theta(text: str) -> ExtendedAngle:
@@ -61,13 +68,8 @@ def _parse_theta(text: str) -> ExtendedAngle:
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InvalidInput(f"expected lo:hi:n but got {text!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise InvalidInput(f"bad range {text!r}: {exc}") from exc
+    lo, hi, n = _split(text, ":", "lo:hi:n", "range",
+                       lambda lo, hi, n: (float(lo), float(hi), int(n)))
     # nan or inf in either bound, or a width that overflows, leaves hi - lo non-finite
     if not math.isfinite(hi - lo):
         raise InvalidInput(f"range {text!r} needs finite bounds and width")
@@ -114,17 +116,9 @@ def _emit(result, rows_key: str | None, columns: list[str] | None, args) -> None
 
 def _flat_triangle(tri: Triangle) -> dict:
     el = tri.elements()
-    row = {}
-    for i, p in enumerate(tri.vertices, start=1):
-        row[f"p{i}x"], row[f"p{i}y"] = p.x, p.y
-    for i in range(3):
-        row[f"D{i + 1}"] = el.D[i]
-        row[f"d{i + 1}"] = el.d[i]
-    for i, a in enumerate(el.angles, start=1):
-        row[f"theta{i}"] = a.theta
-        row[f"k{i}"] = a.k.label
-    row["S"] = el.S
-    return row
+    points = [c for p in tri.vertices for c in (p.x, p.y)]
+    angles = [v for a in el.angles for v in (a.theta, a.k.label)]
+    return dict(zip(TRIANGLE_COLUMNS, (*points, *el.D, *el.d, *angles, el.S)))
 
 
 def _cmd_classify(args) -> int:
@@ -158,14 +152,9 @@ def _cmd_solve(args) -> int:
     elif args.mode == "sas":
         sols = [solve_sas(_parse_theta(args.theta1), args.D2, args.D3)]
     else:
-        parts = args.D.split(",")
-        if len(parts) != 3:
-            raise InvalidInput(f"expected D1,D2,D3 but got {args.D!r}")
-        try:
-            d_values = [float(v) for v in parts]
-        except ValueError as exc:
-            raise InvalidInput(f"bad square sides {args.D!r}: {exc}") from exc
-        sols = [solve_sss(*d_values)]
+        sides = _split(args.D, ",", "D1,D2,D3", "square sides",
+                       lambda *D: [float(v) for v in D])
+        sols = [solve_sss(*sides)]
     result = {"count": len(sols), "solutions": [_flat_triangle(t) for t in sols]}
     _emit(result, "solutions", TRIANGLE_COLUMNS, args)
     return 0
@@ -184,32 +173,31 @@ def _cmd_sample(args) -> int:
     if args.what == "unit-hyperbolas":
         lo, hi, n = _parse_range(args.theta)
         step = (hi - lo) / (n - 1)
+        columns = ["k", "theta", "x", "y"]
         rows = []
         for k in KleinIndex:
             for i in range(n):
                 theta = lo + i * step
                 u = euler(ExtendedAngle(theta, k))
-                rows.append({"k": k.label, "theta": theta, "x": u.x, "y": u.y})
-        _emit({"rows": rows}, "rows", ["k", "theta", "x", "y"], args)
+                rows.append(dict(zip(columns, (k.label, theta, u.x, u.y))))
     else:
         lo, hi, n = _parse_range(args.phi)
         if not math.isfinite(args.gap_eps):
             raise InvalidInput(f"--gap-eps must be finite, got {args.gap_eps!r}")
         gap = max(args.gap_eps, null_eps())
         step = (hi - lo) / (n - 1)
+        columns = ["phi", "cos2phi", "x", "y", "arm", "gap"]
         rows = []
         for i in range(n):
             phi = lo + i * step
             c2 = _angle._cos_2phi(phi)
             if abs(c2) <= gap:
-                rows.append({"phi": phi, "cos2phi": c2, "x": None, "y": None,
-                             "arm": None, "gap": True})
-                continue
-            x, y = _angle.circle_map(phi)
-            arm = _angle.from_point(x, y).k.label
-            rows.append({"phi": phi, "cos2phi": c2, "x": x, "y": y,
-                         "arm": arm, "gap": False})
-        _emit({"rows": rows}, "rows", ["phi", "cos2phi", "x", "y", "arm", "gap"], args)
+                point = (None, None, None, True)
+            else:
+                x, y = _angle.circle_map(phi)
+                point = (x, y, _angle.from_point(x, y).k.label, False)
+            rows.append(dict(zip(columns, (phi, c2, *point))))
+    _emit({"rows": rows}, "rows", columns, args)
     return 0
 
 

@@ -15,7 +15,7 @@ from ._value import _Value, _setters
 from .angle import _P1, ExtendedAngle
 from .errors import InvalidInput, NullDirection, ParallelRays
 from .hypnum import HyperbolicNumber
-from .tol import is_null_xy, quadratic_form
+from .tol import is_null_xy, quadratic_form, rescaled
 
 __all__ = [
     "Motion", "PELine", "PointP", "SegmentKind", "displacement", "line_intersection",
@@ -90,8 +90,11 @@ def _pseudo_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
 
 
 def _normalized_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
-    # |x1 x2 - y1 y2| per unit of Euclidean size; zero for pseudo-orthogonal vectors
-    return abs(_pseudo_dot(v1, v2)) / (_euclid_norm(v1) * _euclid_norm(v2))
+    # |x1 x2 - y1 y2| per unit of Euclidean size; zero for pseudo-orthogonal vectors.
+    # As in euclid_angle: on copies scaled by powers of two, which keep the ratio,
+    # neither product overflows or underflows
+    (x1, y1, _), (x2, y2, _) = rescaled(v1.x, v1.y), rescaled(v2.x, v2.y)
+    return abs(x1 * x2 - y1 * y2) / (math.hypot(x1, y1) * math.hypot(x2, y2))
 
 
 class PELine(_Value):

@@ -363,6 +363,18 @@ def test_contains_gives_one_verdict_at_every_scale(cx, cy, radius, arm, theta, s
     assert scaled.contains(P(math.ldexp(q.x, k), math.ldexp(q.y, k))) == hyp.contains(q)
 
 
+def test_residuals_give_one_value_at_every_scale():
+    # the figure scaled by 2^k: sqrt(P) = 2^k is exact, so every point scales
+    # exactly, and each residual is a ratio of homogeneous terms
+    def residuals(k):
+        hyp = EquilateralHyperbola(P(0, 0), 2.0 ** (2 * k))
+        a, b, far = (hyp.point_at(ExtendedAngle(t, P1)) for t in (0.3, 0.3 + 1e-6, 4.0))
+        return hyp.midpoint_orthogonality_residual(a, b), hyp.thales_residual(far, a)
+
+    unit = residuals(0)
+    assert [k for k in range(-537, 512) if residuals(k) != unit] == []
+
+
 # a triangle whose exact P is nonzero and below half the least subnormal, 2^-1075
 ROUNDING_TO_ZERO_P = (P(-1.015216675349351e-161, 5.970810434352393e-162),
                       P(-6.021005074866499e-164, -5.404469890983704e-162),

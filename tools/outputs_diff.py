@@ -282,6 +282,10 @@ def corpus():
                  ["solve", "asa", "--theta1=0.5,+1", "--theta2=0.5,+1", "--D3=0"],
                  ["solve", "asa", "--theta1=0.5,+1", "--theta2=0.5,+1", "--D3=x"],
                  ["solve", "sss", "--D=1,2"], ["solve", "sss", "--D=a,b,c"], ["solve", "sss", "--D=1e400,1,1"],
+                 ["solve", "sss", "--D=1,2,3,4"], ["solve", "sss", "--D="],
+                 ["classify", "--segment", "1,0", "a,b"], ["sample", "cosh-e", "--phi=0:1"],
+                 ["sample", "unit-hyperbolas", "--theta=0:1:2:3"],
+                 ["circumhyperbola", "--vertices", "0,0", "1,0", "x,1"],
                  ["circumhyperbola", "--vertices", "0,0", "1,1", "3,0"],
                  ["circumhyperbola", "--vertices", "0,0", "1,0", "2,0"],
                  ["circumhyperbola", "--vertices", "0,0", "1,0", "0,2", "3,3"],
