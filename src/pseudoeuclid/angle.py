@@ -130,7 +130,7 @@ def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:
     """
     theta = a.theta
     if abs(theta) > THETA_MAX:
-        raise _overflowing(theta)
+        raise OverflowingAngle(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
     c, s = math.cosh(theta), math.sinh(theta)
     k = a.k
     if k is _P1:
@@ -142,41 +142,14 @@ def cosh_sinh(a: ExtendedAngle) -> tuple[float, float]:
     return -s, -c
 
 
-def _overflowing(theta: float) -> OverflowingAngle:
-    return OverflowingAngle(f"|theta| = {abs(theta)} exceeds {THETA_MAX}")
-
-
-# cosh_e and sinh_e each evaluate only the function they return, with the
-# index rule of cosh_sinh written out once more: they run thousands of times
-# per run_selftest, and a shared helper would cost a call on each
 def cosh_e(a: ExtendedAngle) -> float:
     """Extended hyperbolic cosine, ``cosh_sinh(a)[0]`` bit for bit."""
-    theta = a.theta
-    if abs(theta) > THETA_MAX:
-        raise _overflowing(theta)
-    k = a.k
-    if k is _P1:
-        return math.cosh(theta)
-    if k is _M1:
-        return -math.cosh(theta)
-    if k is _H:
-        return math.sinh(theta)
-    return -math.sinh(theta)
+    return cosh_sinh(a)[0]
 
 
 def sinh_e(a: ExtendedAngle) -> float:
     """Extended hyperbolic sine, ``cosh_sinh(a)[1]`` bit for bit."""
-    theta = a.theta
-    if abs(theta) > THETA_MAX:
-        raise _overflowing(theta)
-    k = a.k
-    if k is _P1:
-        return math.sinh(theta)
-    if k is _M1:
-        return -math.sinh(theta)
-    if k is _H:
-        return math.cosh(theta)
-    return -math.cosh(theta)
+    return cosh_sinh(a)[1]
 
 
 def _angle_of(x1: float, y1: float, x2: float, y2: float) -> ExtendedAngle:

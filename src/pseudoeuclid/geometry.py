@@ -70,23 +70,11 @@ def segment_kind(p: PointP, q: PointP) -> SegmentKind:
     return SegmentKind.FIRST if abs(dx) > abs(dy) else SegmentKind.SECOND
 
 
-def _euclid_norm(v: HyperbolicNumber) -> float:
-    return math.hypot(v.x, v.y)
-
-
-def _cross(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
-    return v1.x * v2.y - v1.y * v2.x
-
-
 def _parallel(cross: float, ax: float, ay: float, bx: float, by: float) -> bool:
     """The one flatness test: (ax, ay) and (bx, by), whose cross is ``cross``,
     are parallel when |cross| <= PARALLEL_TOL |a| |b|."""
     # TOL |a| first: |a| |b| alone can overflow where the cross fits
     return abs(cross) <= PARALLEL_TOL * math.hypot(ax, ay) * math.hypot(bx, by)
-
-
-def _pseudo_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
-    return v1.x * v2.x - v1.y * v2.y
 
 
 def _normalized_dot(v1: HyperbolicNumber, v2: HyperbolicNumber) -> float:
@@ -103,15 +91,11 @@ class PELine(_Value):
     __slots__ = _fields = ("anchor", "direction")
 
     def __init__(self, anchor: PointP, direction: HyperbolicNumber) -> None:
-        _set_anchor(self, anchor)
-        _set_direction(self, direction)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        d = self.direction
+        d = direction
         if d.is_null():
             raise NullDirection(f"({d.x}, {d.y}) is a null direction; a line needs a non-null one")
         rho = d.module()
+        _set_anchor(self, anchor)
         _set_direction(self, HyperbolicNumber(d.x / rho, d.y / rho))
 
     @property
@@ -147,7 +131,8 @@ class PELine(_Value):
         with a the anchor and e the direction: scale-free, so a point and a line
         scaled together get the same verdict at every magnitude."""
         _, cross, scale = self._defect(p)
-        return abs(cross) <= INCIDENCE_TOL * scale * _euclid_norm(self.direction)
+        d = self.direction
+        return abs(cross) <= INCIDENCE_TOL * scale * math.hypot(d.x, d.y)
 
     def slope_intercept(self) -> tuple[float, float]:
         """(m, q) with y = m x + q; fails for vertical lines."""
@@ -177,8 +162,9 @@ def pseudo_orthogonal(l1: PELine, l2: PELine) -> bool:
     being mirror images in the null lines; it never holds for two lines of
     the same kind.
     """
-    n = _euclid_norm(l1.direction) * _euclid_norm(l2.direction)
-    return abs(_pseudo_dot(l1.direction, l2.direction)) <= INCIDENCE_TOL * n
+    e1, e2 = l1.direction, l2.direction
+    n = math.hypot(e1.x, e1.y) * math.hypot(e2.x, e2.y)
+    return abs(e1.x * e2.x - e1.y * e2.y) <= INCIDENCE_TOL * n
 
 
 def orthogonal_line_at(line: PELine, p: PointP) -> PELine:
@@ -203,10 +189,11 @@ def segment_axis(p1: PointP, p2: PointP) -> PELine:
 
 def line_intersection(l1: PELine, l2: PELine) -> PointP:
     a, e1, e2 = l1.anchor, l1.direction, l2.direction
-    den = _cross(e1, e2)
+    den = e1.x * e2.y - e1.y * e2.x
     if _parallel(den, e1.x, e1.y, e2.x, e2.y):
         raise ParallelRays("lines are parallel")
-    t = _cross(displacement(a, l2.anchor), e2) / den
+    v = displacement(a, l2.anchor)
+    t = (v.x * e2.y - v.y * e2.x) / den
     x, y = a.x + t * e1.x, a.y + t * e1.y
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInput(f"the meet point ({x!r}, {y!r}) does not fit a double")

@@ -50,17 +50,14 @@ class EquilateralHyperbola(_Value):
     __slots__ = _fields = ("center", "P")
 
     def __init__(self, center: PointP, P: float) -> None:
+        if type(P) is not float:
+            P = _as_float(P)
+        if not math.isfinite(P):
+            raise InvalidInput(f"P must be finite, got {P!r}")
+        if P == 0.0:
+            raise InvalidInput("P = 0 degenerates to the pair of null lines")
         _set_center(self, center)
         _set_P(self, P)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.P) is not float:
-            _set_P(self, _as_float(self.P))
-        if not math.isfinite(self.P):
-            raise InvalidInput(f"P must be finite, got {self.P!r}")
-        if self.P == 0.0:
-            raise InvalidInput("P = 0 degenerates to the pair of null lines")
 
     @property
     def p(self) -> float:

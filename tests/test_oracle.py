@@ -175,22 +175,6 @@ def test_every_vector_is_null_from_eps_one(eps):
         set_null_eps(before)
 
 
-def test_triangle_angles_match_oracle():
-    rng = random.Random(7)
-    worst = 0.0
-    with mpmath.workprec(PREC):
-        for _ in range(3000):
-            tri = random_triangle(rng)
-            pts = [(mpmath.mpf(p.x), mpmath.mpf(p.y)) for p in tri.vertices]
-            for i, got in enumerate(tri.elements().angles):
-                (x0, y0), (xa, ya), (xb, yb) = pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]
-                x1, y1, x2, y2 = xa - x0, ya - y0, xb - x0, yb - y0
-                want, want_k = oracle_angle(x1 * x2 - y1 * y2, x1 * y2 - y1 * x2)
-                assert got.k is want_k
-                worst = max(worst, float(abs(got.theta - want)))
-    assert worst <= 1e-13
-
-
 def needle_triangle(rng: random.Random) -> Triangle:
     """A needle: the apex sits at relative height 1e-9..1e-2 over a base clear
     of the null lines, the figure is offset by up to +-1e3 and then scaled by
@@ -204,6 +188,57 @@ def needle_triangle(rng: random.Random) -> Triangle:
            (ox + frac * length * c - height * s, oy + frac * length * s + height * c)]
     k = rng.randint(-400, 400)
     return Triangle(*(PointP(math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts))
+
+
+def near_null_triangle(rng: random.Random) -> Triangle:
+    """The side p1p3 near a null line: p3 = p1 + r (1, +-(1 - delta)), delta
+    log-uniform in 1e-8..1e-2 and r in +-[0.5, 3], with p1 and p2 - p1 in a +-5
+    box; a triple the package refuses is drawn again."""
+    while True:
+        x1, y1, ex, ey = (rng.uniform(-5.0, 5.0) for _ in range(4))
+        r = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 3.0)
+        slope = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-8.0, -2.0))
+        try:
+            tri = Triangle(PointP(x1, y1), PointP(x1 + ex, y1 + ey), PointP(x1 + r, y1 + r * slope))
+            tri.elements()
+        except PseudoEuclidError:
+            continue
+        return tri
+
+
+def scaled_triangle(rng: random.Random) -> Triangle:
+    """``random_triangle`` scaled by 2^k, k in [-400, 400], which is exact."""
+    tri, k = random_triangle(rng), rng.randint(-400, 400)
+    return Triangle(*(PointP(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in tri.vertices))
+
+
+@pytest.mark.parametrize("draw", [random_triangle, needle_triangle, near_null_triangle, scaled_triangle],
+                         ids=["random", "needle", "near-null", "scaled"])
+def test_triangle_angles_match_oracle(draw):
+    # |theta - theta*| <= 2 u cond.  theta = 1/2 log|u/w| moves by half the
+    # relative error of each null coordinate x +- y of the two rays, and
+    # rounding the ray (x, y) costs x +- y a relative u (|x| + |y|) / |x +- y|,
+    # so cond = 1/2 sum (|x| + |y|) / |x +- y| over the four.  The rays are
+    # formed exactly from the vertex doubles
+    rng = random.Random(7)
+    worst = worst_rel = 0.0
+    with mpmath.workprec(PREC):
+        for _ in range(3000):
+            tri = draw(rng)
+            pts = [(mpmath.mpf(p.x), mpmath.mpf(p.y)) for p in tri.vertices]
+            for i, got in enumerate(tri.elements().angles):
+                (x0, y0), (xa, ya), (xb, yb) = pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]
+                x1, y1, x2, y2 = xa - x0, ya - y0, xb - x0, yb - y0
+                want, want_k = oracle_angle(x1 * x2 - y1 * y2, x1 * y2 - y1 * x2)
+                assert got.k is want_k
+                cond = sum((abs(x) + abs(y)) / abs(n) for x, y in ((x1, y1), (x2, y2))
+                           for n in (x + y, x - y)) / 2
+                err = abs(got.theta - want)
+                worst = max(worst, float(err))
+                worst_rel = max(worst_rel, float(err / (U * cond)))
+    assert worst_rel <= 2.0
+    if draw is random_triangle:
+        assert worst <= 1e-13
 
 
 @pytest.mark.parametrize("draw", [random_triangle, needle_triangle], ids=["random", "needle"])
