@@ -71,7 +71,8 @@ class HyperbolicNumber(_Value):
                 self.x * other.x + self.y * other.y,
                 self.x * other.y + self.y * other.x,
             )
-        if isinstance(other, Real):
+        # a float first: every float is a Real, and the ABC's check runs in Python
+        if type(other) is float or isinstance(other, Real):
             try:
                 return HyperbolicNumber(self.x * other, self.y * other)
             except OverflowError:  # an int beyond the doubles
@@ -152,7 +153,8 @@ def to_polar(z: HyperbolicNumber) -> tuple[float, ExtendedAngle]:
 def from_polar(rho: float, a: ExtendedAngle) -> HyperbolicNumber:
     """Rebuild rho * (cosh_e, sinh_e); rho must be strictly positive."""
     try:
-        valid = isinstance(rho, Real) and math.isfinite(rho) and rho > 0
+        # a float first, as in __mul__
+        valid = (type(rho) is float or isinstance(rho, Real)) and math.isfinite(rho) and rho > 0
     except OverflowError:  # an int beyond the doubles
         rho, valid = _as_float(rho), False
     if not valid:

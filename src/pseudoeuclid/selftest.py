@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex, _make_angle
@@ -19,7 +19,7 @@ from .geometry import Motion
 from .hyperbola import circumscribed
 from .hypnum import _make_number, euler, from_polar, to_polar
 from .tol import quadratic_form
-from .triangle import Triangle, _worst
+from .triangle import Triangle
 
 __all__ = ["run_selftest"]
 
@@ -30,6 +30,12 @@ ANGLE_RANGE = 5.0
 MOTION_ANGLE_RANGE = 3.0
 BOX = 5.0
 TRIANGLE_MARGIN = 1e-3
+
+# rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(); every draw below forms it
+# without the call, on these bounds and spans
+_ANGLE_LO, _ANGLE_SPAN = -ANGLE_RANGE, ANGLE_RANGE - -ANGLE_RANGE
+_MOTION_LO, _MOTION_SPAN = -MOTION_ANGLE_RANGE, MOTION_ANGLE_RANGE - -MOTION_ANGLE_RANGE
+_BOX_LO, _BOX_SPAN = -BOX, BOX - -BOX
 
 THRESHOLDS = {
     "quadratic-identity": 1e-12,
@@ -48,9 +54,22 @@ THRESHOLDS = {
 }
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN if any is NaN.
+
+    max() would keep a NaN only when it came first, so a NaN residual must
+    stick here for its check to fail.
+    """
+    worst = 0.0
+    for r in residuals:
+        if r > worst or r != r:
+            worst = r
+    return worst
+
+
 def random_angle(rng: random.Random) -> ExtendedAngle:
-    # trusted: rng.uniform is lo + span * rng.random(), a finite float, and rng.choice a member
-    return _make_angle(rng.uniform(-ANGLE_RANGE, ANGLE_RANGE), rng.choice(_ALL_KS))
+    # trusted: lo + span * rng.random() is a finite float, and rng.choice a member
+    return _make_angle(_ANGLE_LO + _ANGLE_SPAN * rng.random(), rng.choice(_ALL_KS))
 
 
 def _near_null(dx: float, dy: float) -> bool:
@@ -61,8 +80,7 @@ def random_triangle(rng: random.Random) -> Triangle:
     """Vertices in a +-5 box, rejecting badly conditioned triples: every side
     must stay clear of the null lines and the area clear of zero, both
     relative to the Euclidean size of the sides."""
-    # rng.uniform(-BOX, BOX) is lo + span * rng.random(), drawn here without its call
-    draw, lo, span = rng.random, -BOX, BOX - -BOX
+    draw, lo, span = rng.random, _BOX_LO, _BOX_SPAN
     while True:
         x1, y1 = lo + span * draw(), lo + span * draw()
         x2, y2 = lo + span * draw(), lo + span * draw()
@@ -82,8 +100,9 @@ def random_triangle(rng: random.Random) -> Triangle:
 
 def random_motion(rng: random.Random) -> Motion:
     # trusted: uniform draws and a member, as in random_angle
-    rot = _make_angle(rng.uniform(-MOTION_ANGLE_RANGE, MOTION_ANGLE_RANGE), rng.choice(_PROPER_KS))
-    return Motion(rot, _make_number(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)))
+    draw = rng.random
+    rot = _make_angle(_MOTION_LO + _MOTION_SPAN * draw(), rng.choice(_PROPER_KS))
+    return Motion(rot, _make_number(_BOX_LO + _BOX_SPAN * draw(), _BOX_LO + _BOX_SPAN * draw()))
 
 
 def _check_quadratic(rng: random.Random, n: int) -> Iterator[float]:
@@ -116,10 +135,10 @@ def _check_angle_roundtrip(rng: random.Random, n: int) -> Iterator[float]:
 
 
 def _check_polar_roundtrip(rng: random.Random, n: int) -> Iterator[float]:
-    count = 0
+    count, draw = 0, rng.random
     while count < n:
         # trusted: two uniform draws, as in random_angle
-        z = _make_number(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX))
+        z = _make_number(_BOX_LO + _BOX_SPAN * draw(), _BOX_LO + _BOX_SPAN * draw())
         if z.is_null():
             continue
         count += 1

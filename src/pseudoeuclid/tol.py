@@ -20,6 +20,9 @@ DEFAULT_NULL_EPS = 1e-12
 
 _null_eps = DEFAULT_NULL_EPS
 
+# math.inf read once: a module global is one lookup, math.inf two
+_INF = math.inf
+
 
 def null_eps() -> float:
     """Current relative threshold for the null-line test."""
@@ -73,7 +76,7 @@ def is_null_xy(x: float, y: float) -> bool:
     is squared, so the verdict holds at every magnitude; the zero vector counts as null."""
     u, w = abs(x + y), abs(x - y)
     # where a sum overflows, the halves give the same t
-    if u == math.inf or w == math.inf:
+    if u == _INF or w == _INF:
         u, w = abs(x / 2.0 + y / 2.0), abs(x / 2.0 - y / 2.0)
     # the zero vector has t = 0; a NaN coordinate gives t = NaN, never null
     t = u / w if u < w else w / u if u != 0.0 else 0.0

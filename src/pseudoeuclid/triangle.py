@@ -15,7 +15,6 @@ positive, and the familiar relations hold with ordinary signs:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 from . import angle as _angle
 from ._value import _Value, _setters
@@ -33,19 +32,6 @@ __all__ = [
 ]
 
 RIGHT_ANGLE_TOL = 1e-9
-
-
-def _worst(residuals: Iterable[float]) -> float:
-    """The largest residual, or NaN if any is NaN.
-
-    max() would keep a NaN only when it came first, so a NaN residual must
-    stick here for its check to fail.
-    """
-    worst = 0.0
-    for r in residuals:
-        if r > worst or r != r:
-            worst = r
-    return worst
 
 
 class TriangleElements(_Value):
@@ -133,8 +119,11 @@ class Triangle(_Value):
         is returned on every later one.  It is kept outside the fields:
         equality, hashing and repr see only the vertices.
         """
-        # getattr with a default: a copy made by _value._rebuild has the slot unset
-        el = getattr(self, "_elements", None)
+        # the slot read first: only a copy made by _value._rebuild has it unset
+        try:
+            el = self._elements
+        except AttributeError:
+            el = None
         if el is None:
             p1, p2, p3 = self.p1, self.p2, self.p3
             # six rays, each its own difference: negating one would flip a zero's sign
@@ -167,7 +156,12 @@ class Triangle(_Value):
         el = self.elements()
         two_s = 2.0 * el.S
         t1, t2, t3 = Triangle._sine_products(el)
-        deviation = _worst((abs(t1 - two_s), abs(t2 - two_s), abs(t3 - two_s)))
+        # the largest deviation as selftest._worst takes it, by comparisons: a NaN sticks
+        deviation, r2, r3 = abs(t1 - two_s), abs(t2 - two_s), abs(t3 - two_s)
+        if r2 > deviation or r2 != r2:
+            deviation = r2
+        if r3 > deviation or r3 != r3:
+            deviation = r3
         # one division of the largest deviation: dividing by |2S| > 0 keeps the order,
         # and a 2S that rounded to 0 divides as NaN (x or nan is NaN only for x = 0)
         return deviation / (abs(two_s) or math.nan)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,30 @@ def test_components_are_exact_floats(x, y):
     assert type(z.x) is float and type(z.y) is float
     assert (z.x, z.y) == (float(x), float(y))
     assert math.copysign(1.0, z.y) == math.copysign(1.0, float(y))
+
+
+@pytest.mark.parametrize("x", [3, True, Fraction(3, 4), _Real(2.5)])
+def test_real_scalars_act_as_the_equal_float(x):
+    # from_polar and the scalar product test for a float before the Real ABC;
+    # every other Real must still be accepted, and give what its float gives
+    a, z, f = ExtendedAngle(0.7, KleinIndex.H), H(2.0, -3.0), float(x)
+    for got, want in ((from_polar(x, a), from_polar(f, a)), (z * x, z * f), (x * z, f * z)):
+        assert type(got.x) is float and type(got.y) is float
+        assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+
+
+@pytest.mark.parametrize("x, shown", [(Decimal("2"), "Decimal('2')"), (2 + 0j, "(2+0j)"),
+                                      ("2", "'2'")])
+def test_scalars_that_are_not_real_are_refused(x, shown):
+    # a Decimal is a Number but not a Real; the float fast path must not widen that
+    a, z = ExtendedAngle(0.7, KleinIndex.H), H(2.0, -3.0)
+    with pytest.raises(NonPositiveRho) as got:
+        from_polar(x, a)
+    assert str(got.value) == f"rho must be positive and finite, got {shown}"
+    with pytest.raises(TypeError):
+        z * x
+    with pytest.raises(TypeError):
+        x * z
 
 
 @pytest.mark.parametrize("x, y, exc, message", [

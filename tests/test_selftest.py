@@ -9,12 +9,19 @@ import random
 import pytest
 
 from pseudoeuclid import triangle
+from pseudoeuclid.angle import KleinIndex
 from pseudoeuclid.geometry import PointP
+from pseudoeuclid.hypnum import HyperbolicNumber, from_polar, to_polar
 from pseudoeuclid.selftest import (
+    ANGLE_RANGE,
     BOX,
+    MOTION_ANGLE_RANGE,
     TRIANGLE_MARGIN,
     _check_angle_sum_cosh,
+    _check_polar_roundtrip,
     _near_null,
+    random_angle,
+    random_motion,
     random_triangle,
     run_selftest,
 )
@@ -90,6 +97,35 @@ def test_random_triangle_draws_as_rng_uniform_did():
         got, want = random_triangle(rng), uniform_random_triangle(ref)
         assert [c.hex() for p in got.vertices for c in (p.x, p.y)] == \
             [c.hex() for p in want.vertices for c in (p.x, p.y)], s
+        assert rng.getstate() == ref.getstate(), s
+
+
+def test_every_draw_is_rng_uniform_bit_for_bit():
+    # each draw forms lo + span * rng.random() without calling rng.uniform; the
+    # twin stream makes the same draws through rng.uniform, in the same order
+    for s in range(40):
+        rng, ref = random.Random(s), random.Random(s)
+        for _ in range(5):
+            a = random_angle(rng)
+            theta, k = ref.uniform(-ANGLE_RANGE, ANGLE_RANGE), ref.choice(tuple(KleinIndex))
+            assert (a.theta.hex(), a.k) == (theta.hex(), k), s
+            m = random_motion(rng)
+            theta = ref.uniform(-MOTION_ANGLE_RANGE, MOTION_ANGLE_RANGE)
+            k = ref.choice((KleinIndex.P1, KleinIndex.M1))
+            x, y = ref.uniform(-BOX, BOX), ref.uniform(-BOX, BOX)
+            assert (m.rotation.theta.hex(), m.rotation.k, m.offset.x.hex(), m.offset.y.hex()) == \
+                (theta.hex(), k, x.hex(), y.hex()), s
+            got, tri = random_triangle(rng), uniform_random_triangle(ref)
+            assert [c.hex() for p in got.vertices for c in (p.x, p.y)] == \
+                [c.hex() for p in tri.vertices for c in (p.x, p.y)], s
+        # the polar suite's draws, with its null screen, through its residuals
+        want = []
+        while len(want) < 20:
+            z = HyperbolicNumber(ref.uniform(-BOX, BOX), ref.uniform(-BOX, BOX))
+            if not z.is_null():
+                w = from_polar(*to_polar(z))
+                want.append(math.hypot(w.x - z.x, w.y - z.y) / math.hypot(z.x, z.y))
+        assert [r.hex() for r in _check_polar_roundtrip(rng, 20)] == [r.hex() for r in want], s
         assert rng.getstate() == ref.getstate(), s
 
 

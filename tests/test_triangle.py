@@ -347,16 +347,19 @@ def test_derived_triangles_compute_their_own_elements():
         assert derived.elements() == Triangle(*derived.vertices).elements()
 
 
-def test_law_of_sines_keeps_a_nan_ratio(tri, monkeypatch):
-    # max(0.0, nan) is 0.0: a NaN in the middle must not read as a pass
+@pytest.mark.parametrize("which", [1, 2, 3], ids=["first", "second", "third"])
+def test_law_of_sines_keeps_a_nan_ratio(tri, monkeypatch, which):
+    # max(0.0, nan) is 0.0 and max(nan, 1.0) is 1.0: a NaN in any of the three
+    # sine products must not read as a pass
     sinh_e, calls = _angle.sinh_e, []
 
-    def nan_second(a):
+    def nan_at(a):
         calls.append(a)
-        return math.nan if len(calls) == 2 else sinh_e(a)
+        return math.nan if len(calls) == which else sinh_e(a)
 
-    monkeypatch.setattr(_angle, "sinh_e", nan_second)
+    monkeypatch.setattr(_angle, "sinh_e", nan_at)
     assert math.isnan(tri.law_of_sines_residual())
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("k", [1, -1, 100, -100, 200, -200, 240, -240, 345, -360])
