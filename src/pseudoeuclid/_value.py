@@ -17,7 +17,6 @@ construction or by a test the site has just made: the forward path, the
 solvers' placement of the two new vertices and the circumscribed center;
 ``tests/test_api.py`` lists those sites.
 """
-from __future__ import annotations
 
 
 class _Value:

@@ -11,7 +11,6 @@ the product of split-complex numbers is componentwise.  The index is the sign
 pair (sgn u, sgn w), so the group product is sign multiplication, and
 theta = 1/2 log|u/w| in every sector.
 """
-from __future__ import annotations
 
 import math
 from enum import Enum

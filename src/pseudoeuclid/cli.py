@@ -1,5 +1,4 @@
 """Command line front end: classify, solve, circumhyperbola, sample, check."""
-from __future__ import annotations
 
 import argparse
 import json

@@ -1,6 +1,5 @@
 """Ordinary Euclidean angle and area helpers, kept as an independent
 cross-check route for the pseudo-Euclidean results."""
-from __future__ import annotations
 
 import math
 

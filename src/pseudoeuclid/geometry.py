@@ -5,7 +5,6 @@ first kind (more horizontal than the null lines, |slope| < 1) and second kind
 (|slope| > 1).  A line is stored as an anchor point plus a unit direction, so
 vertical lines need no special casing; slope/intercept is a derived view.
 """
-from __future__ import annotations
 
 import math
 from enum import Enum
@@ -162,9 +161,7 @@ def pseudo_orthogonal(l1: PELine, l2: PELine) -> bool:
     being mirror images in the null lines; it never holds for two lines of
     the same kind.
     """
-    e1, e2 = l1.direction, l2.direction
-    n = math.hypot(e1.x, e1.y) * math.hypot(e2.x, e2.y)
-    return abs(e1.x * e2.x - e1.y * e2.y) <= INCIDENCE_TOL * n
+    return _normalized_dot(l1.direction, l2.direction) <= INCIDENCE_TOL
 
 
 def orthogonal_line_at(line: PELine, p: PointP) -> PELine:

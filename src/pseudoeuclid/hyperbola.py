@@ -7,7 +7,6 @@ P < 0 they open up and down (indices +h and -h, first kind).  Points are
 parametrized as center + p * euler((theta, k)) with p = sqrt(|P|) and k the
 arm index.
 """
-from __future__ import annotations
 
 import math
 from enum import Enum

@@ -5,7 +5,6 @@ plane a commutative ring with zero divisors on the lines y = +-x.  Off those
 lines every number has a polar form rho * k * exp(h*theta) with k one of the
 four Klein units, and multiplication adds extended angles.
 """
-from __future__ import annotations
 
 import math
 from enum import Enum

@@ -6,7 +6,6 @@ dimension is divided by the magnitude of the terms its identity holds, with no
 absolute floor, so it does not depend on scale.  Dimensionless residuals keep
 ``1 + ...``, and so does ``motion-invariance``, which rounds as the vertices move.
 """
-from __future__ import annotations
 
 import math
 import random
@@ -18,7 +17,7 @@ from .errors import InvalidInput, PseudoEuclidError
 from .geometry import Motion
 from .hyperbola import circumscribed
 from .hypnum import _make_number, euler, from_polar, to_polar
-from .tol import quadratic_form
+from .tol import null_eps, quadratic_form
 from .triangle import Triangle
 
 __all__ = ["run_selftest"]
@@ -229,6 +228,11 @@ def run_selftest(seed: int = 0, n: int = 1000) -> dict:
         raise InvalidInput(f"sample count must be an int, got {n!r}")
     if n <= 0:
         raise InvalidInput(f"sample count must be positive, got {n}")
+    eps = null_eps()
+    if eps >= 1.0:
+        # |x^2 - y^2| <= x^2 + y^2, so from eps = 1 every vector is null
+        raise InvalidInput(f"null epsilon {eps!r} leaves no non-null vector to draw; "
+                           "check needs it below 1")
     rng = random.Random(seed)
     # the suites share one stream: this order fixes every draw and the report order
     worst = {

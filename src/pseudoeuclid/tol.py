@@ -8,7 +8,6 @@ eps (x^2 + y^2), that is |u w| <= eps (u^2 + w^2) / 2.  The exception,
 on the unit vector (cos phi, sin phi).  The threshold is process-global and
 can be changed (the CLI reads it from the PSEUDOEUCLID_EPS variable).
 """
-from __future__ import annotations
 
 import math
 

@@ -12,7 +12,6 @@ positive, and the familiar relations hold with ordinary signs:
 * angle sum         theta_1 + theta_2 + theta_3 has Klein index +-1 and
                     cosh_e(sum) = -D1 D2 D3 / (d1 d2 d3)^2 = -sign(D1 D2 D3)
 """
-from __future__ import annotations
 
 import math
 

@@ -1,9 +1,10 @@
 """The package root re-exports exactly what ``__all__`` lists, each public name is
 declared once, in the ``__all__`` of the module that defines it, nothing is defined
 unread, there is one type per shape of record, only ``_value._rebuild`` sets a slot
-through ``object.__setattr__``, importing the CLI loads neither ``dataclasses`` nor
-``inspect``, the forward-path kernels compare instead of calling ``min`` or ``max``,
-and the trusted constructors run only where their values need no check."""
+through ``object.__setattr__``, importing the CLI loads none of ``dataclasses``,
+``inspect``, ``hypothesis``, ``mpmath`` and ``logging``, the forward-path kernels
+compare instead of calling ``min`` or ``max``, and the trusted constructors run only
+where their values need no check."""
 from __future__ import annotations
 
 import ast
@@ -120,11 +121,12 @@ def test_only_rebuild_sets_a_slot_through_object_setattr():
     assert found == {("_value.py", "_rebuild")}
 
 
-def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    # importing either costs every CLI process start-up time; only a fresh
-    # interpreter shows what importing the CLI pulls in
-    code = ("import sys, pseudoeuclid.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+def test_the_cli_imports_none_of_dataclasses_inspect_hypothesis_mpmath_logging():
+    # importing any of them costs every CLI process start-up time (logging alone
+    # about 5-6 ms), and the last three are no runtime dependencies; only a
+    # fresh interpreter shows what importing the CLI pulls in
+    code = ("import sys, pseudoeuclid.cli; print(sorted({'dataclasses', 'inspect', "
+            "'hypothesis', 'mpmath', 'logging'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "[]\n"

@@ -11,6 +11,7 @@ import pytest
 
 from pseudoeuclid import selftest
 from pseudoeuclid.cli import main
+from pseudoeuclid.tol import DEFAULT_NULL_EPS, set_null_eps
 
 LN2 = math.log(2.0)
 
@@ -432,7 +433,6 @@ def test_env_eps_override(monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["sector"] == "null+"
     # the global value must be restored for later tests
-    from pseudoeuclid.tol import DEFAULT_NULL_EPS, set_null_eps
     set_null_eps(DEFAULT_NULL_EPS)
 
 
@@ -441,6 +441,32 @@ def test_env_eps_bad_value(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "classify", "--point", "1,0")
     assert code == 2
     assert "PSEUDOEUCLID_EPS" in err
+
+
+@pytest.mark.parametrize("eps", ["1", "1.5"])
+def test_env_eps_that_leaves_nothing_to_draw_fails_check(monkeypatch, capsys, eps):
+    # a domain error on stdout exits 0 and reads as a pass; a refused tolerance exits 2
+    monkeypatch.setenv("PSEUDOEUCLID_EPS", eps)
+    try:
+        code, out, err = run_cli(capsys, "check", "--n", "2")
+    finally:
+        set_null_eps(DEFAULT_NULL_EPS)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: null epsilon {float(eps)!r} leaves no non-null vector to draw; "
+                   "check needs it below 1\n")
+
+
+def test_env_eps_below_one_runs_check(monkeypatch, capsys):
+    # below 1 the draws are not screened against the tolerance: at 0.5 check
+    # runs until the euler point of a drawn angle is null, as it did before
+    monkeypatch.setenv("PSEUDOEUCLID_EPS", "0.5")
+    try:
+        code, out, err = run_cli(capsys, "check", "--n", "2")
+    finally:
+        set_null_eps(DEFAULT_NULL_EPS)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["error"] == "null-direction"
 
 
 def test_subprocess_determinism():

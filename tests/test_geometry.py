@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex
 from pseudoeuclid.errors import InvalidInput, NullDirection, ParallelRays
 from pseudoeuclid.geometry import (
+    INCIDENCE_TOL,
     Motion,
     PELine,
     PointP,
@@ -205,6 +207,40 @@ def test_orthogonal_line_swaps_components_and_kind():
     assert ortho.kind is SegmentKind.SECOND
     assert ortho.theta == pytest.approx(line.theta, rel=1e-12)
     assert ortho.anchor == P(7, 7)
+
+
+def OLD_PSEUDO_ORTHOGONAL(l1, l2):
+    # the product form pseudo_orthogonal had before it measured through _normalized_dot
+    e1, e2 = l1.direction, l2.direction
+    n = math.hypot(e1.x, e1.y) * math.hypot(e2.x, e2.y)
+    return abs(e1.x * e2.x - e1.y * e2.y) <= INCIDENCE_TOL * n
+
+
+def test_pseudo_orthogonal_keeps_the_product_form_verdicts_near_the_tolerance():
+    # the second direction is the first one swapped, one component off by a
+    # relative e: its normalized product is about |e x y| / (x^2 + y^2), which
+    # straddles INCIDENCE_TOL for |e| from 2e-9 up, and meets it at |e| = edge
+    rng = random.Random(34)
+    perturbations = (0.0, 1e-10, -1e-10, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-8, -1e-8)
+    verdicts, kinds = set(), set()
+    for _ in range(300):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = math.cos(phi), math.sin(phi)
+        if abs(abs(x) - abs(y)) < 0.05:
+            continue
+        edge = INCIDENCE_TOL * (x * x + y * y) / abs(x * y)
+        for k in (-60, -8, 0, 8, 60):
+            a1 = P(math.ldexp(rng.uniform(-1, 1), k), math.ldexp(rng.uniform(-1, 1), k))
+            a2 = P(math.ldexp(rng.uniform(-1, 1), k), math.ldexp(rng.uniform(-1, 1), k))
+            l1 = PELine(a1, H(x, y))
+            kinds.add(l1.kind)
+            for e in (*perturbations, edge, -edge):
+                l2 = PELine(a2, H(y * (1.0 + e), x))
+                verdict = pseudo_orthogonal(l1, l2)
+                assert verdict == OLD_PSEUDO_ORTHOGONAL(l1, l2), (x, y, k, e)
+                verdicts.add(verdict)
+    assert kinds == {SegmentKind.FIRST, SegmentKind.SECOND}
+    assert verdicts == {True, False}
 
 
 def test_segment_axis_equidistance():

@@ -15,6 +15,7 @@ from pseudoeuclid.errors import (
     InvalidInput,
     NotOnHyperbola,
     NullDirection,
+    ParallelRays,
     PseudoEuclidError,
 )
 from pseudoeuclid.geometry import PointP, square_distance
@@ -400,6 +401,15 @@ def test_circumscribed_names_a_center_that_does_not_fit_a_double():
     tri = SimpleNamespace(p1=p1, p2=p1 + P(2.0 ** 1019, 2.0 ** 1019), p3=p1 + P(2.0 ** 1023, 0.0))
     with pytest.raises(InvalidInput, match=r"^the center p1 \+ 2\*\*1024 \* \(0\.25, 0\.25\) "
                                            "does not fit a double$"):
+        circumscribed(tri)
+
+
+@pytest.mark.parametrize("p2, p3", [((1.0, 0.0), (2.0, 0.0)), ((1.0, 2.0), (3.0, 6.0))])
+def test_circumscribed_refuses_collinear_vertices(p2, p3):
+    # Triangle refuses collinear vertices first: only a stand-in reaches the
+    # _parallel test circumscribed keeps on its rescaled cross
+    tri = SimpleNamespace(p1=P(0.0, 0.0), p2=P(*p2), p3=P(*p3))
+    with pytest.raises(ParallelRays, match="^lines are parallel$"):
         circumscribed(tri)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from pseudoeuclid import triangle
 from pseudoeuclid.angle import KleinIndex
+from pseudoeuclid.errors import InvalidInput
 from pseudoeuclid.geometry import PointP
 from pseudoeuclid.hypnum import HyperbolicNumber, from_polar, to_polar
 from pseudoeuclid.selftest import (
@@ -25,6 +26,7 @@ from pseudoeuclid.selftest import (
     random_triangle,
     run_selftest,
 )
+from pseudoeuclid.tol import null_eps, set_null_eps
 from pseudoeuclid.triangle import Triangle
 
 from builds import counting_builds
@@ -39,6 +41,21 @@ def test_formerly_failing_seeds_pass(seed, n):
 def test_sample_count_must_be_positive():
     with pytest.raises(ValueError, match="sample count must be positive, got 0"):
         run_selftest(0, 0)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.5])
+def test_a_tolerance_that_leaves_nothing_to_draw_is_refused(eps):
+    # from eps = 1 every vector is null (test_every_vector_is_null_from_eps_one);
+    # the refusal names the tolerance and comes after the count checks
+    before = null_eps()
+    try:
+        set_null_eps(eps)
+        with pytest.raises(InvalidInput, match=f"^null epsilon {eps!r} leaves no non-null"):
+            run_selftest(0, 2)
+        with pytest.raises(InvalidInput, match="sample count must be positive, got 0"):
+            run_selftest(0, 0)
+    finally:
+        set_null_eps(before)
 
 
 def test_seed_band_passes():
