@@ -12,7 +12,7 @@ from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, PseudoEuclidError
 from .geometry import PointP, displacement, segment_kind, square_distance
 from .hyperbola import circumscribed
-from .hypnum import classify_sector, euler
+from .hypnum import classify_sector
 from .selftest import run_selftest
 from .tol import null_eps, set_null_eps
 from .triangle import Triangle, solve_asa, solve_sas, solve_ssa, solve_sss
@@ -66,7 +66,8 @@ def _parse_theta(text: str) -> ExtendedAngle:
         raise InvalidInput(f"bad angle value {head!r}: {exc}") from exc
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
+def _parse_range(text: str) -> list[float]:
+    """The n evenly spaced samples of 'lo:hi:n', both ends included."""
     lo, hi, n = _split(text, ":", "lo:hi:n", "range",
                        lambda lo, hi, n: (float(lo), float(hi), int(n)))
     # nan or inf in either bound, or a width that overflows, leaves hi - lo non-finite
@@ -74,7 +75,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise InvalidInput(f"range {text!r} needs finite bounds and width")
     if n < 2:
         raise InvalidInput(f"need at least two samples, got n={n}")
-    return lo, hi, n
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
 
 
 def _error_slug(exc: PseudoEuclidError) -> str:
@@ -91,15 +93,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(result, rows_key: str | None, columns: list[str] | None, args) -> None:
+def _emit(result, args, rows: list[dict] | None = None,
+          columns: list[str] | None = None) -> None:
+    """Print result as JSON, or rows under columns as CSV; with no rows the
+    one row is result itself, under its own keys."""
     if args.format == "json":
         # JSON has no NaN or Infinity: a value that does not fit a double prints as null
         plain = json.loads(json.dumps(result), parse_constant=lambda _: None)
         text = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        rows = result[rows_key] if rows_key else [result]
-        if columns is None:
-            columns = list(rows[0]) if rows else []
+        if rows is None:
+            rows, columns = [result], list(result)
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row.get(col)) for col in columns) for row in rows]
         text = "\n".join(lines) + "\n"
@@ -120,7 +124,7 @@ def _flat_triangle(tri: Triangle) -> dict:
     return dict(zip(TRIANGLE_COLUMNS, (*points, *el.D, *el.d, *angles, el.S)))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     if args.point is not None:
         z = _parse_point(args.point)
         out = {"x": z.x, "y": z.y, "sector": classify_sector(z).value,
@@ -129,7 +133,6 @@ def _cmd_classify(args) -> int:
         if not z.is_null():
             a = _angle.from_point(z.x, z.y)
             out["theta"], out["k"] = a.theta, a.k.label
-        _emit(out, None, None, args)
     else:
         p, q = (_parse_point(t) for t in args.segment)
         D = square_distance(p, q)
@@ -139,11 +142,10 @@ def _cmd_classify(args) -> int:
         out = {"x1": p.x, "y1": p.y, "x2": q.x, "y2": q.y,
                "segment_kind": segment_kind(p, q).value,
                "D": D, "d": displacement(p, q).module() if fits else None}
-        _emit(out, None, None, args)
-    return 0
+    _emit(out, args)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     if args.mode == "ssa":
         sols = solve_ssa(_parse_theta(args.theta1), args.D1, args.D3)
     elif args.mode == "asa":
@@ -155,40 +157,32 @@ def _cmd_solve(args) -> int:
                        lambda *D: [float(v) for v in D])
         sols = [solve_sss(*sides)]
     result = {"count": len(sols), "solutions": [_flat_triangle(t) for t in sols]}
-    _emit(result, "solutions", TRIANGLE_COLUMNS, args)
-    return 0
+    _emit(result, args, result["solutions"], TRIANGLE_COLUMNS)
 
 
-def _cmd_circumhyperbola(args) -> int:
+def _cmd_circumhyperbola(args) -> None:
     p1, p2, p3 = (_parse_point(t) for t in args.vertices)
     hyp = circumscribed(Triangle(p1, p2, p3))
     out = {"cx": hyp.center.x, "cy": hyp.center.y,
            "P": hyp.P, "p": hyp.p, "kind": hyp.kind}
-    _emit(out, None, None, args)
-    return 0
+    _emit(out, args)
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     if args.what == "unit-hyperbolas":
-        lo, hi, n = _parse_range(args.theta)
-        step = (hi - lo) / (n - 1)
+        thetas = _parse_range(args.theta)
         columns = ["k", "theta", "x", "y"]
-        rows = []
-        for k in KleinIndex:
-            for i in range(n):
-                theta = lo + i * step
-                u = euler(ExtendedAngle(theta, k))
-                rows.append(dict(zip(columns, (k.label, theta, u.x, u.y))))
+        rows = [dict(zip(columns, (k.label, theta,
+                                   *_angle.cosh_sinh(ExtendedAngle(theta, k)))))
+                for k in KleinIndex for theta in thetas]
     else:
-        lo, hi, n = _parse_range(args.phi)
+        phis = _parse_range(args.phi)
         if not math.isfinite(args.gap_eps):
             raise InvalidInput(f"--gap-eps must be finite, got {args.gap_eps!r}")
         gap = max(args.gap_eps, null_eps())
-        step = (hi - lo) / (n - 1)
         columns = ["phi", "cos2phi", "x", "y", "arm", "gap"]
         rows = []
-        for i in range(n):
-            phi = lo + i * step
+        for phi in phis:
             c2 = _angle._cos_2phi(phi)
             if abs(c2) <= gap:
                 point = (None, None, None, True)
@@ -196,30 +190,27 @@ def _cmd_sample(args) -> int:
                 x, y = _angle.circle_map(phi)
                 point = (x, y, _angle.from_point(x, y).k.label, False)
             rows.append(dict(zip(columns, (phi, c2, *point))))
-    _emit({"rows": rows}, "rows", columns, args)
-    return 0
+    _emit({"rows": rows}, args, rows, columns)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> int | None:
     if args.n <= 0:
         raise InvalidInput(f"--n must be positive, got {args.n}")
     report = run_selftest(seed=args.seed, n=args.n)
-    if args.format == "csv":
-        rows = [{"check": name, **data} for name, data in report["checks"].items()]
-        _emit({"rows": rows}, "rows", ["check", "samples", "worst", "limit", "ok"], args)
-    else:
-        _emit(report, None, None, args)
+    rows = [{"check": name, **data} for name, data in report["checks"].items()]
+    _emit(report, args, rows, ["check", "samples", "worst", "limit", "ok"])
     if report["failed"]:
         print("check failed: " + ", ".join(report["failed"]), file=sys.stderr)
         return 1
-    return 0
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    # mirror the global options on each leaf command so they are accepted in
-    # either position; SUPPRESS keeps the top-level values when absent here
+def _leaf(sp: argparse.ArgumentParser, func) -> None:
+    # a leaf command runs func(args); the global options are mirrored on it so
+    # they are accepted in either position, and SUPPRESS keeps the top-level
+    # values when absent here
     sp.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     sp.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
+    sp.set_defaults(func=func)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_classify.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", metavar="X,Y")
     group.add_argument("--segment", nargs=2, metavar=("X1,Y1", "X2,Y2"))
-    _add_common(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
+    _leaf(p_classify, _cmd_classify)
 
     p_solve = sub.add_parser("solve", help="triangle solvers")
     solve_sub = p_solve.add_subparsers(dest="mode", required=True)
@@ -264,15 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sss = solve_sub.add_parser("sss")
     p_sss.add_argument("--D", required=True, metavar="D1,D2,D3")
     for sp in (p_ssa, p_asa, p_sas, p_sss):
-        _add_common(sp)
-        sp.set_defaults(func=_cmd_solve)
+        _leaf(sp, _cmd_solve)
 
     p_circ = sub.add_parser("circumhyperbola",
                             help="equilateral hyperbola through three points")
     p_circ.add_argument("--vertices", nargs=3, required=True,
                         metavar=("X1,Y1", "X2,Y2", "X3,Y3"))
-    _add_common(p_circ)
-    p_circ.set_defaults(func=_cmd_circumhyperbola)
+    _leaf(p_circ, _cmd_circumhyperbola)
 
     p_sample = sub.add_parser("sample", help="tabulated curves")
     sample_sub = p_sample.add_subparsers(dest="what", required=True)
@@ -284,14 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pole half-width: rows with |cos 2*phi| below it "
                              "are emitted as gaps (default 1e-2)")
     for sp in (p_unit, p_cosh):
-        _add_common(sp)
-        sp.set_defaults(func=_cmd_sample)
+        _leaf(sp, _cmd_sample)
 
     p_check = sub.add_parser("check", help="run the randomized identity suites")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--n", type=int, default=1000)
-    _add_common(p_check)
-    p_check.set_defaults(func=_cmd_check)
+    _leaf(p_check, _cmd_check)
     return parser
 
 
@@ -306,7 +292,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

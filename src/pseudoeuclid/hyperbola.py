@@ -110,7 +110,8 @@ class EquilateralHyperbola(_Value):
             raise InvalidInput(f"need at least one sample, got n={n}")
         if type(lo) is not float or type(hi) is not float:
             lo, hi = _as_float(lo), _as_float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        # nan or inf in either bound, or a width that overflows, leaves hi - lo non-finite
+        if not math.isfinite(hi - lo):
             raise InvalidInput("parameter range must be finite")
         if n == 1:
             return [self.point_at(ExtendedAngle(lo, k))]

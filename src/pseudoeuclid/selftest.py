@@ -54,15 +54,20 @@ THRESHOLDS = {
 
 
 def _worst(residuals: Iterable[float]) -> float:
-    """The largest residual, or NaN if any is NaN.
+    """The largest residual, NaN if any is NaN, or inf if the suite refuses.
 
     max() would keep a NaN only when it came first, so a NaN residual must
-    stick here for its check to fail.
+    stick here for its check to fail.  A PseudoEuclidError raised while the
+    residuals are drawn (a draw that the null tolerance in force calls null)
+    fails the suite with inf instead of ending the whole report.
     """
     worst = 0.0
-    for r in residuals:
-        if r > worst or r != r:
-            worst = r
+    try:
+        for r in residuals:
+            if r > worst or r != r:
+                worst = r
+    except PseudoEuclidError:
+        return math.inf
     return worst
 
 

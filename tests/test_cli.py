@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from pseudoeuclid import selftest
+from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex
 from pseudoeuclid.cli import main
+from pseudoeuclid.hypnum import euler
 from pseudoeuclid.tol import DEFAULT_NULL_EPS, set_null_eps
 
 LN2 = math.log(2.0)
@@ -118,6 +120,35 @@ def test_sample_unit_hyperbolas(capsys):
     assert len(rows) == 20  # 4 arms x 5 samples
     for row in rows:
         assert abs(abs(row["x"] ** 2 - row["y"] ** 2) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("lo, hi, n, edges", [
+    (-THETA_MAX, THETA_MAX, 3, [-THETA_MAX, 0.0, THETA_MAX]),
+    # -0.0 + 0 * step stays -0.0 only where the step is negative
+    (-0.0, -THETA_MAX, 2, [-0.0, -THETA_MAX]),
+    (THETA_MAX, -THETA_MAX, 7, [THETA_MAX, 0.0, -THETA_MAX]),
+    (-3.0, 7.0, 11, [-3.0, 0.0, 7.0]),
+])
+def test_sample_unit_hyperbolas_rows_are_euler_bits(capsys, lo, hi, n, edges):
+    step = (hi - lo) / (n - 1)
+    thetas = [lo + i * step for i in range(n)]
+    assert {e.hex() for e in edges} <= {t.hex() for t in thetas}
+    want = [(k.label, theta.hex(), u.x.hex(), u.y.hex())
+            for k in KleinIndex for theta in thetas
+            for u in [euler(ExtendedAngle(theta, k))]]
+    argv = ["sample", "unit-hyperbolas", f"--theta={lo!r}:{hi!r}:{n}"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    got = [(r["k"], r["theta"].hex(), r["x"].hex(), r["y"].hex())
+           for r in json.loads(out)["rows"]]
+    assert got == want
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "k,theta,x,y"
+    got = [(k, *(float(v).hex() for v in values))
+           for k, *values in (line.split(",") for line in lines[1:])]
+    assert got == want
 
 
 def test_sample_cosh_e_gaps(capsys):
@@ -458,15 +489,22 @@ def test_env_eps_that_leaves_nothing_to_draw_fails_check(monkeypatch, capsys, ep
 
 
 def test_env_eps_below_one_runs_check(monkeypatch, capsys):
-    # below 1 the draws are not screened against the tolerance: at 0.5 check
-    # runs until the euler point of a drawn angle is null, as it did before
+    # below 1 the draws are not screened against the tolerance: at 0.5 the
+    # euler point of a drawn angle is null, and the suites whose draws the
+    # tolerance refuses fail with worst = inf while the report completes
     monkeypatch.setenv("PSEUDOEUCLID_EPS", "0.5")
     try:
         code, out, err = run_cli(capsys, "check", "--n", "2")
     finally:
         set_null_eps(DEFAULT_NULL_EPS)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["error"] == "null-direction"
+    assert code == 1
+    assert err == "check failed: angle-roundtrip, motion-invariance\n"
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["failed"] == ["angle-roundtrip", "motion-invariance"]
+    assert len(report["checks"]) == len(selftest.THRESHOLDS)
+    # JSON has no Infinity: the inf worst prints as null
+    assert [report["checks"][name]["worst"] for name in report["failed"]] == [None, None]
 
 
 def test_subprocess_determinism():

@@ -93,6 +93,14 @@ def test_sample_arm(second_kind):
         second_kind.sample_arm(H1, 0.0, 1.0, 3)
     with pytest.raises(InvalidInput, match="parameter range must be finite"):
         second_kind.sample_arm(P1, 0.0, math.inf, 3)
+    # both bounds are finite but hi - lo is not: the refusal names the range,
+    # not the nan or overflowing theta that the samples would have made
+    for n in (3, 1):
+        with pytest.raises(InvalidInput) as info:
+            second_kind.sample_arm(P1, -1e308, 1e308, n)
+        assert str(info.value) == "parameter range must be finite"
+    assert second_kind.sample_arm(P1, -1.0, 1.0, 3) == [
+        second_kind.point_at(ExtendedAngle(t, P1)) for t in (-1.0, 0.0, 1.0)]
 
 
 def test_chord_classification(second_kind, first_kind):

@@ -317,3 +317,5 @@ def test_number_rejects_with_the_same_messages(x, y, exc, message):
 def test_foreign_operand_rejected():
     with pytest.raises(TypeError):
         H(1.0, 0.0) + "x"  # type: ignore[operator]
+    with pytest.raises(TypeError):
+        H(1, 2) - 3  # type: ignore[operator]

@@ -17,6 +17,7 @@ from pseudoeuclid.selftest import (
     ANGLE_RANGE,
     BOX,
     MOTION_ANGLE_RANGE,
+    THRESHOLDS,
     TRIANGLE_MARGIN,
     _check_angle_sum_cosh,
     _check_polar_roundtrip,
@@ -56,6 +57,27 @@ def test_a_tolerance_that_leaves_nothing_to_draw_is_refused(eps):
             run_selftest(0, 0)
     finally:
         set_null_eps(before)
+
+
+def test_a_wide_tolerance_fails_suites_instead_of_ending_the_report():
+    # below 1 the draws are not screened: a draw the tolerance calls null
+    # raises inside its suite, which then fails with worst = inf
+    before, failing = null_eps(), {}
+    try:
+        for eps in (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+            set_null_eps(eps)
+            failing[eps] = 0
+            for seed in range(50):
+                report = run_selftest(seed, 100)
+                assert isinstance(report["ok"], bool)
+                assert len(report["checks"]) == len(THRESHOLDS)
+                for name in report["failed"]:
+                    assert report["checks"][name]["worst"] == math.inf, (eps, seed, name)
+                failing[eps] += not report["ok"]
+    finally:
+        set_null_eps(before)
+    # the narrowest tolerance refuses no draw; the widest refuses some
+    assert failing[1e-9] == 0 < failing[1e-2]
 
 
 def test_seed_band_passes():
