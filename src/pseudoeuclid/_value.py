@@ -5,8 +5,8 @@ Each record class lists its fields in ``_fields``, keeps them in
 setter per slot.  ``__init__`` writes each field through its setter, about
 half the cost of the generic object setter, then calls ``__post_init__``
 where it has one; write-backs and caches use the same setters.  The base
-compares, hashes, prints and pickles an instance by its field tuple and
-refuses every ``obj.name = value``.
+compares, hashes, prints and pickles an instance by its field tuple (a
+copy's other slots start at ``None``) and refuses every ``obj.name = value``.
 
 Values are validated once, where they enter: every public constructor and
 function runs the checks.  Two hot records also have a trusted constructor,
@@ -57,6 +57,10 @@ def _setters(cls: type) -> tuple:
 
 def _rebuild(cls: type, values: tuple) -> _Value:
     obj = object.__new__(cls)
-    for name, value in zip(cls._fields, values):
-        object.__setattr__(obj, name, value)
+    fields = dict(zip(cls._fields, values))
+    # every slot of the class and its bases: a field gets its value, and a slot
+    # beyond the fields, a cache, starts empty (None) as __init__ leaves it
+    for base in cls.__mro__:
+        for name in base.__dict__.get("__slots__", ()):
+            object.__setattr__(obj, name, fields.get(name))
     return obj

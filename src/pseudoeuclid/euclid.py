@@ -40,6 +40,6 @@ def euclid_angle(v1: HyperbolicNumber, v2: HyperbolicNumber) -> EuclideanAngleVa
 
 
 def euclid_signed_area(p1: PointP, p2: PointP, p3: PointP) -> float:
-    # kept textually identical to Triangle.signed_area, half the cross of
-    # p2 - p1 and p3 - p1, so the two routes agree bit for bit, not just to rounding
+    # half the cross of p2 - p1 and p3 - p1 in the operations and order of the S of
+    # Triangle.elements(), so the two routes agree bit for bit, not just to rounding
     return 0.5 * ((p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x))

@@ -29,6 +29,15 @@ ANGLE_RANGE = 5.0
 MOTION_ANGLE_RANGE = 3.0
 BOX = 5.0
 TRIANGLE_MARGIN = 1e-3
+# The widest null tolerance check draws under.  A side is non-null where
+# |cos 2 phi| > eps, phi its Euclidean direction, so within arccos(eps) / 2 of an
+# axis; two of a triangle's three sides then lie near the same axis, and one of
+# its Euclidean angles is at most arccos(eps).  Up to 1/2 (arccos = pi/3) every
+# triangle shape but the equilateral one has a rotation with three non-null
+# sides, and random_triangle needs a few draws per triangle; above it only ever
+# thinner triangles are left, and the draws grow at least as 1 / arccos(eps)^2:
+# check would not end near 1.
+NULL_EPS_MAX = 0.5
 
 # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(); every draw below forms it
 # without the call, on these bounds and spans
@@ -98,7 +107,9 @@ def random_triangle(rng: random.Random) -> Triangle:
         try:
             # trusted: each coordinate is lo + span * draw(); the triangle itself validates
             return Triangle(_make_number(x1, y1), _make_number(x2, y2), _make_number(x3, y3))
-        except PseudoEuclidError:  # pragma: no cover - excluded by the margins
+        except PseudoEuclidError:
+            # a side the null tolerance in force calls null, as soon as that
+            # tolerance is about TRIANGLE_MARGIN or wider: draw again
             continue
 
 
@@ -234,10 +245,8 @@ def run_selftest(seed: int = 0, n: int = 1000) -> dict:
     if n <= 0:
         raise InvalidInput(f"sample count must be positive, got {n}")
     eps = null_eps()
-    if eps >= 1.0:
-        # |x^2 - y^2| <= x^2 + y^2, so from eps = 1 every vector is null
-        raise InvalidInput(f"null epsilon {eps!r} leaves no non-null vector to draw; "
-                           "check needs it below 1")
+    if eps > NULL_EPS_MAX:
+        raise InvalidInput(f"check needs a null epsilon of at most {NULL_EPS_MAX}, got {eps!r}")
     rng = random.Random(seed)
     # the suites share one stream: this order fixes every draw and the report order
     worst = {

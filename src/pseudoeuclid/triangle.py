@@ -58,8 +58,7 @@ class Triangle(_Value):
         _set_p1(self, p1)
         _set_p2(self, p2)
         _set_p3(self, p3)
-        # set, so that the first elements() finds None instead of raising and
-        # catching an AttributeError inside getattr
+        # the empty cache, as _value._rebuild leaves it in a copy
         _set_elements(self, None)
         self.__post_init__()
 
@@ -82,7 +81,7 @@ class Triangle(_Value):
             raise InvalidInput(f"components must be finite, got ({fx!r}, {fy!r})")
         if is_null_xy(fx, fy):
             raise NullSide("side p1p3 lies on a null line")
-        # 2S is the cross of sides p1p2 and p1p3, as in signed_area()
+        # 2S is the cross of sides p1p2 and p1p3, as elements() forms it
         two_s = ex * fy - ey * fx
         if not math.isfinite(two_s):
             # a product overflowed; the sign and the test below do not change
@@ -100,9 +99,8 @@ class Triangle(_Value):
         return (self.p1, self.p2, self.p3)
 
     def signed_area(self) -> float:
-        """Half the cross of p2 - p1 and p3 - p1; always positive after normalization."""
-        p1, p2, p3 = self.p1, self.p2, self.p3
-        return 0.5 * ((p2.x - p1.x) * (p3.y - p1.y) - (p2.y - p1.y) * (p3.x - p1.x))
+        """elements().S, half the cross of p2 - p1 and p3 - p1; positive after normalization."""
+        return self.elements().S
 
     def elements(self) -> TriangleElements:
         """Square sides, moduli, and the three extended vertex angles.
@@ -118,11 +116,7 @@ class Triangle(_Value):
         is returned on every later one.  It is kept outside the fields:
         equality, hashing and repr see only the vertices.
         """
-        # the slot read first: only a copy made by _value._rebuild has it unset
-        try:
-            el = self._elements
-        except AttributeError:
-            el = None
+        el = self._elements
         if el is None:
             p1, p2, p3 = self.p1, self.p2, self.p3
             # six rays, each its own difference: negating one would flip a zero's sign
@@ -135,7 +129,7 @@ class Triangle(_Value):
                 (math.sqrt(abs(D1)), math.sqrt(abs(D2)), math.sqrt(abs(D3))),
                 (_angle_of(x12, y12, x13, y13), _angle_of(x23, y23, x21, y21),
                  _angle_of(x31, y31, x32, y32)),
-                # signed_area() on the rays already held: the same operations in the same order
+                # S, half the cross of the rays p2 - p1 and p3 - p1
                 0.5 * (x12 * y13 - y12 * x13),
             )
             _set_elements(self, el)

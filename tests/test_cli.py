@@ -474,9 +474,10 @@ def test_env_eps_bad_value(monkeypatch, capsys):
     assert "PSEUDOEUCLID_EPS" in err
 
 
-@pytest.mark.parametrize("eps", ["1", "1.5"])
+@pytest.mark.parametrize("eps", ["1", "1.5", "0.9999999", "0.5000000000000001"])
 def test_env_eps_that_leaves_nothing_to_draw_fails_check(monkeypatch, capsys, eps):
-    # a domain error on stdout exits 0 and reads as a pass; a refused tolerance exits 2
+    # a domain error on stdout exits 0 and reads as a pass; a refused tolerance
+    # exits 2 at once, also just below 1, where the draws would never end
     monkeypatch.setenv("PSEUDOEUCLID_EPS", eps)
     try:
         code, out, err = run_cli(capsys, "check", "--n", "2")
@@ -484,12 +485,11 @@ def test_env_eps_that_leaves_nothing_to_draw_fails_check(monkeypatch, capsys, ep
         set_null_eps(DEFAULT_NULL_EPS)
     assert code == 2
     assert out == ""
-    assert err == (f"error: null epsilon {float(eps)!r} leaves no non-null vector to draw; "
-                   "check needs it below 1\n")
+    assert err == f"error: check needs a null epsilon of at most 0.5, got {float(eps)!r}\n"
 
 
 def test_env_eps_below_one_runs_check(monkeypatch, capsys):
-    # below 1 the draws are not screened against the tolerance: at 0.5 the
+    # up to 0.5 the draws are not screened against the tolerance: at 0.5 the
     # euler point of a drawn angle is null, and the suites whose draws the
     # tolerance refuses fail with worst = inf while the report completes
     monkeypatch.setenv("PSEUDOEUCLID_EPS", "0.5")

@@ -5,18 +5,21 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
-from pseudoeuclid import triangle
-from pseudoeuclid.angle import KleinIndex
-from pseudoeuclid.errors import InvalidInput
-from pseudoeuclid.geometry import PointP
+from pseudoeuclid import angle as _angle
+from pseudoeuclid import selftest, triangle
+from pseudoeuclid.angle import ExtendedAngle, KleinIndex
+from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
+from pseudoeuclid.geometry import Motion, PointP
 from pseudoeuclid.hypnum import HyperbolicNumber, from_polar, to_polar
 from pseudoeuclid.selftest import (
     ANGLE_RANGE,
     BOX,
     MOTION_ANGLE_RANGE,
+    NULL_EPS_MAX,
     THRESHOLDS,
     TRIANGLE_MARGIN,
     _check_angle_sum_cosh,
@@ -44,14 +47,17 @@ def test_sample_count_must_be_positive():
         run_selftest(0, 0)
 
 
-@pytest.mark.parametrize("eps", [1.0, 1.5])
+@pytest.mark.parametrize("eps", [1.0, 1.5, 0.9999999, math.nextafter(NULL_EPS_MAX, 1.0)])
 def test_a_tolerance_that_leaves_nothing_to_draw_is_refused(eps):
-    # from eps = 1 every vector is null (test_every_vector_is_null_from_eps_one);
-    # the refusal names the tolerance and comes after the count checks
+    # from eps = 1 every vector is null (test_every_vector_is_null_from_eps_one), and
+    # above NULL_EPS_MAX only thin triangles are left, which near 1 random_triangle
+    # would redraw without end; the refusal names the cut-off and the tolerance and
+    # comes after the count checks
     before = null_eps()
     try:
         set_null_eps(eps)
-        with pytest.raises(InvalidInput, match=f"^null epsilon {eps!r} leaves no non-null"):
+        message = re.escape(f"check needs a null epsilon of at most 0.5, got {eps!r}")
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
             run_selftest(0, 2)
         with pytest.raises(InvalidInput, match="sample count must be positive, got 0"):
             run_selftest(0, 0)
@@ -60,7 +66,7 @@ def test_a_tolerance_that_leaves_nothing_to_draw_is_refused(eps):
 
 
 def test_a_wide_tolerance_fails_suites_instead_of_ending_the_report():
-    # below 1 the draws are not screened: a draw the tolerance calls null
+    # up to NULL_EPS_MAX the draws are not screened: a draw the tolerance calls null
     # raises inside its suite, which then fails with worst = inf
     before, failing = null_eps(), {}
     try:
@@ -78,6 +84,94 @@ def test_a_wide_tolerance_fails_suites_instead_of_ending_the_report():
         set_null_eps(before)
     # the narrowest tolerance refuses no draw; the widest refuses some
     assert failing[1e-9] == 0 < failing[1e-2]
+
+
+def _euclidean_angles(tri: Triangle) -> list[float]:
+    angles = []
+    for p, q, r in ((tri.p1, tri.p2, tri.p3), (tri.p2, tri.p3, tri.p1), (tri.p3, tri.p1, tri.p2)):
+        ux, uy, vx, vy = q.x - p.x, q.y - p.y, r.x - p.x, r.y - p.y
+        angles.append(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
+    return angles
+
+
+@pytest.mark.parametrize("eps", [0.3, NULL_EPS_MAX, 0.7, 0.9])
+def test_three_non_null_sides_leave_an_angle_of_at_most_arccos_eps(eps):
+    # why NULL_EPS_MAX is 1/2: a non-null side lies within arccos(eps) / 2 of an
+    # axis, so two of the three lie near the same one, and the triangle has a
+    # Euclidean angle of at most arccos(eps), below pi/3 once eps passes 1/2
+    rng, kept, before = random.Random(11), 0, null_eps()
+    try:
+        set_null_eps(eps)
+        for _ in range(4000):
+            try:
+                tri = Triangle(*(PointP(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX))
+                                 for _ in range(3)))
+            except (NullSide, DegenerateTriangle):
+                continue
+            kept += 1
+            assert min(_euclidean_angles(tri)) <= math.acos(eps) + 1e-12, tri
+    finally:
+        set_null_eps(before)
+    assert kept > 50
+
+
+def test_the_equilateral_triangle_turns_null_at_the_cut_off():
+    # at 1/2 = cos(pi/3) the equilateral shape is the first to lose every
+    # rotation with three non-null sides; just below, a side on an axis keeps one
+    before = null_eps()
+
+    def rotations_kept(eps: float) -> int:
+        set_null_eps(eps)
+        kept = 0
+        for i in range(720):
+            phi = math.pi * i / 720
+            try:
+                Triangle(*(PointP(math.cos(phi + t), math.sin(phi + t))
+                           for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)))
+            except NullSide:
+                continue
+            kept += 1
+        return kept
+
+    try:
+        assert rotations_kept(NULL_EPS_MAX - 1e-9) > 0
+        assert rotations_kept(NULL_EPS_MAX + 1e-9) == 0
+    finally:
+        set_null_eps(before)
+
+
+def test_a_klein_index_mismatch_in_angle_roundtrip_fails_only_that_suite(monkeypatch):
+    # the third angle comes back with another index: the suite yields inf and
+    # stops, and the report still gives every suite its verdict
+    from_point, calls = _angle.from_point, []
+
+    def flip_third(x, y):
+        a = from_point(x, y)
+        calls.append(a)
+        return ExtendedAngle(a.theta, a.k * KleinIndex.H) if len(calls) == 3 else a
+
+    monkeypatch.setattr(_angle, "from_point", flip_third)
+    report = run_selftest(5, 50)
+    assert report["checks"]["angle-roundtrip"]["worst"] == math.inf
+    assert report["failed"] == ["angle-roundtrip"] and not report["ok"]
+    assert list(report["checks"]) == list(THRESHOLDS)
+    assert all(check["samples"] == 50 for check in report["checks"].values())
+
+
+@pytest.mark.parametrize("k", [KleinIndex.H, KleinIndex.MH], ids=["+h", "-h"])
+def test_a_klein_index_mismatch_in_motion_invariance_fails_only_that_suite(monkeypatch, k):
+    # a rotation of index +-h moves every side across a null line, so the moved
+    # angles carry other indices: the suite yields inf and the report completes
+    def improper_motion(rng):
+        return Motion(ExtendedAngle(rng.uniform(-MOTION_ANGLE_RANGE, MOTION_ANGLE_RANGE), k),
+                      HyperbolicNumber(rng.uniform(-BOX, BOX), rng.uniform(-BOX, BOX)))
+
+    monkeypatch.setattr(selftest, "random_motion", improper_motion)
+    report = run_selftest(5, 50)
+    assert report["checks"]["motion-invariance"]["worst"] == math.inf
+    assert report["failed"] == ["motion-invariance"] and not report["ok"]
+    assert list(report["checks"]) == list(THRESHOLDS)
+    assert all(check["samples"] == 50 for check in report["checks"].values())
 
 
 def test_seed_band_passes():

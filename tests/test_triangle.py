@@ -338,6 +338,31 @@ def test_copies_compare_equal_and_agree(tri, clone):
     assert other.elements() == el
 
 
+def _bits(el: TriangleElements) -> tuple:
+    return ([v.hex() for v in el.D], [v.hex() for v in el.d],
+            [(a.theta.hex(), a.k) for a in el.angles], el.S.hex())
+
+
+@pytest.mark.parametrize("clone", [
+    *(lambda t, p=p: pickle.loads(pickle.dumps(t, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy, copy.deepcopy,
+], ids=[*(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)), "copy", "deepcopy"])
+@pytest.mark.parametrize("k", [0, 520, -500])
+def test_copies_start_with_an_empty_cache(clone, k):
+    # a copy gets the vertices and the empty cache __init__ leaves, whether the
+    # original has computed its elements or not, and computes its own bit for
+    # bit, the infinities of D and S at 2^520 included
+    src = Triangle(*(P(math.ldexp(p.x, k), math.ldexp(p.y, k))
+                     for p in random_triangle(random.Random(3)).vertices))
+    fresh = clone(src)
+    el = src.elements()
+    cached = clone(src)
+    for other in (fresh, cached):
+        assert other._elements is None
+        assert other.elements() is not el and _bits(other.elements()) == _bits(el)
+        assert other.signed_area().hex() == src.signed_area().hex()
+
+
 def test_derived_triangles_compute_their_own_elements():
     src = Triangle(P(2.0, 1.0), P(6.5, 2.5), P(3.0, 4.0))
     el = src.elements()
