@@ -10,8 +10,8 @@ import sys
 from . import angle as _angle
 from .angle import ExtendedAngle, KleinIndex
 from .errors import InvalidInput, PseudoEuclidError
-from .geometry import PointP, displacement, segment_kind, square_distance
-from .hyperbola import circumscribed
+from .geometry import PointP, _difference, segment_kind, square_distance
+from .hyperbola import _spaced, circumscribed
 from .hypnum import classify_sector
 from .selftest import run_selftest
 from .tol import null_eps, set_null_eps
@@ -67,7 +67,7 @@ def _parse_theta(text: str) -> ExtendedAngle:
 
 
 def _parse_range(text: str) -> list[float]:
-    """The n evenly spaced samples of 'lo:hi:n', both ends included."""
+    """The n evenly spaced samples of 'lo:hi:n', the first lo and the last hi."""
     lo, hi, n = _split(text, ":", "lo:hi:n", "range",
                        lambda lo, hi, n: (float(lo), float(hi), int(n)))
     # nan or inf in either bound, or a width that overflows, leaves hi - lo non-finite
@@ -75,8 +75,7 @@ def _parse_range(text: str) -> list[float]:
         raise InvalidInput(f"range {text!r} needs finite bounds and width")
     if n < 2:
         raise InvalidInput(f"need at least two samples, got n={n}")
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return _spaced(lo, hi, n)
 
 
 def _error_slug(exc: PseudoEuclidError) -> str:
@@ -135,13 +134,13 @@ def _cmd_classify(args) -> None:
             out["theta"], out["k"] = a.theta, a.k.label
     else:
         p, q = (_parse_point(t) for t in args.segment)
-        D = square_distance(p, q)
-        # d is the module, as rho is, which fits where D overflows or underflows;
-        # it is null where q - p itself does not fit
-        fits = math.isfinite(q.x - p.x) and math.isfinite(q.y - p.y)
+        dx, dy, f = _difference(p, q)
+        # d is the module of q - p, as rho is of a point, which fits where D
+        # overflows or underflows; it is null in JSON (inf in CSV) only where
+        # it does not fit a double
         out = {"x1": p.x, "y1": p.y, "x2": q.x, "y2": q.y,
                "segment_kind": segment_kind(p, q).value,
-               "D": D, "d": displacement(p, q).module() if fits else None}
+               "D": square_distance(p, q), "d": f * PointP(dx, dy).module()}
     _emit(out, args)
 
 

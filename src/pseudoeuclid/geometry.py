@@ -52,17 +52,24 @@ def midpoint(p: PointP, q: PointP) -> PointP:
     return PointP(x, y)
 
 
+def _difference(p: PointP, q: PointP) -> tuple[float, float, float]:
+    """(dx, dy, f) with q - p = f (dx, dy): the difference itself and f = 1, or, where
+    it overflows near the largest double, the difference of the halves, which fits, and f = 2."""
+    dx, dy = q.x - p.x, q.y - p.y
+    if math.isfinite(dx) and math.isfinite(dy):
+        return dx, dy, 1.0
+    return q.x / 2.0 - p.x / 2.0, q.y / 2.0 - p.y / 2.0, 2.0
+
+
 def square_distance(p: PointP, q: PointP) -> float:
     """D = (qx-px)^2 - (qy-py)^2, positive for first-kind separations."""
-    return quadratic_form(q.x - p.x, q.y - p.y)
+    dx, dy, f = _difference(p, q)
+    return f * f * quadratic_form(dx, dy)
 
 
 def segment_kind(p: PointP, q: PointP) -> SegmentKind:
-    dx, dy = q.x - p.x, q.y - p.y
-    # as in midpoint: a difference near the largest double overflows, the
-    # difference of the halves does not, and halving keeps the kind
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        dx, dy = q.x / 2.0 - p.x / 2.0, q.y / 2.0 - p.y / 2.0
+    # the halves of an overflowing difference keep the kind
+    dx, dy, _ = _difference(p, q)
     if is_null_xy(dx, dy):
         return SegmentKind.NULL
     # off the null lines |dx| > |dy| is the sign of D, and cannot underflow
@@ -134,12 +141,16 @@ class PELine(_Value):
         return abs(cross) <= INCIDENCE_TOL * scale * math.hypot(d.x, d.y)
 
     def slope_intercept(self) -> tuple[float, float]:
-        """(m, q) with y = m x + q; fails for vertical lines."""
+        """(m, q) with y = m x + q; fails for vertical lines, and where m or q
+        does not fit a double."""
         d = self.direction
         if d.x == 0.0:
             raise InvalidInput("vertical line has no slope-intercept form")
         m = d.y / d.x
-        return m, self.anchor.y - m * self.anchor.x
+        q = self.anchor.y - m * self.anchor.x
+        if not (math.isfinite(m) and math.isfinite(q)):
+            raise InvalidInput(f"the slope and intercept ({m!r}, {q!r}) do not fit a double")
+        return m, q
 
     @classmethod
     def from_slope_intercept(cls, m: float, q: float) -> "PELine":

@@ -15,7 +15,7 @@ from . import angle as _angle
 from ._value import _Value, _setters
 from .angle import _P1, ExtendedAngle, KleinIndex
 from .errors import InvalidInput, NotOnHyperbola, NullDirection, ParallelRays
-from .geometry import PELine, PointP, _normalized_dot, _parallel, displacement, midpoint
+from .geometry import PELine, PointP, _difference, _normalized_dot, _parallel, displacement, midpoint
 from .hypnum import HyperbolicNumber, _make_number, angle_between, euler
 from .tol import _as_float, quadratic_form, rescaled
 
@@ -25,6 +25,16 @@ CONTAINS_TOL = 1e-9
 
 _FIRST_ARMS = (KleinIndex.H, KleinIndex.MH)
 _SECOND_ARMS = (KleinIndex.P1, KleinIndex.M1)
+
+
+def _spaced(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced values from lo to hi, a finite width apart: [lo] for n = 1, else lo,
+    lo + i * (hi - lo) / (n - 1) for 0 < i < n - 1, and hi.  The ends are the bounds
+    themselves: lo + (n - 1) * step can round off hi, and -0.0 + 0 * step is 0.0."""
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [lo, *[lo + i * step for i in range(1, n - 1)], hi]
 
 
 class ChordClass(Enum):
@@ -78,10 +88,11 @@ class EquilateralHyperbola(_Value):
         bound = CONTAINS_TOL * (abs(P) + dx * dx + dy * dy)
         if bound == math.inf:
             # a square or the difference overflowed, and every point would
-            # pass: test the difference of the halves, which fits, and P, both
+            # pass: test the difference, as f (dx, dy), and P / f^2, both
             # scaled by one power of two
-            dx, dy, s = rescaled(point.x / 2.0 - self.center.x / 2.0, point.y / 2.0 - self.center.y / 2.0)
-            P = math.ldexp(P, 2 * s - 2)
+            dx, dy, f = _difference(self.center, point)
+            dx, dy, s = rescaled(dx, dy)
+            P = math.ldexp(P / (f * f), 2 * s)
             bound = CONTAINS_TOL * (abs(P) + dx * dx + dy * dy)
         return abs(quadratic_form(dx, dy) - P) <= bound
 
@@ -101,7 +112,8 @@ class EquilateralHyperbola(_Value):
         return self.center + self.p * euler(a)
 
     def sample_arm(self, k: KleinIndex, lo: float, hi: float, n: int) -> list[PointP]:
-        """n points with evenly spaced parameters on arm k, endpoints included."""
+        """n points on arm k with evenly spaced parameters from lo to hi: the
+        first is point_at((lo, k)) and, for n >= 2, the last point_at((hi, k))."""
         if k not in self.arms:
             raise InvalidInput(f"arm {k.label} does not occur on this hyperbola")
         if not isinstance(n, int) or isinstance(n, bool):
@@ -113,10 +125,7 @@ class EquilateralHyperbola(_Value):
         # nan or inf in either bound, or a width that overflows, leaves hi - lo non-finite
         if not math.isfinite(hi - lo):
             raise InvalidInput("parameter range must be finite")
-        if n == 1:
-            return [self.point_at(ExtendedAngle(lo, k))]
-        step = (hi - lo) / (n - 1)
-        return [self.point_at(ExtendedAngle(lo + i * step, k)) for i in range(n)]
+        return [self.point_at(ExtendedAngle(theta, k)) for theta in _spaced(lo, hi, n)]
 
     def chord(self, a: PointP, b: PointP) -> Chord:
         """The chord through two distinct points of the locus.

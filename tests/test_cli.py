@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pseudoeuclid import selftest
 from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex
-from pseudoeuclid.cli import main
+from pseudoeuclid.cli import _parse_range, main
 from pseudoeuclid.hypnum import euler
 from pseudoeuclid.tol import DEFAULT_NULL_EPS, set_null_eps
 
@@ -124,14 +126,16 @@ def test_sample_unit_hyperbolas(capsys):
 
 @pytest.mark.parametrize("lo, hi, n, edges", [
     (-THETA_MAX, THETA_MAX, 3, [-THETA_MAX, 0.0, THETA_MAX]),
-    # -0.0 + 0 * step stays -0.0 only where the step is negative
     (-0.0, -THETA_MAX, 2, [-0.0, -THETA_MAX]),
     (THETA_MAX, -THETA_MAX, 7, [THETA_MAX, 0.0, -THETA_MAX]),
     (-3.0, 7.0, 11, [-3.0, 0.0, 7.0]),
+    # -3 + 3 * 0.6 rounds to -1.2000000000000002, and -0.0 + 0 * 0.5 to 0.0
+    (-3.0, -1.2, 4, [-3.0, -1.2]),
+    (-0.0, 1.0, 3, [-0.0, 0.5, 1.0]),
 ])
 def test_sample_unit_hyperbolas_rows_are_euler_bits(capsys, lo, hi, n, edges):
     step = (hi - lo) / (n - 1)
-    thetas = [lo + i * step for i in range(n)]
+    thetas = [lo, *(lo + i * step for i in range(1, n - 1)), hi]
     assert {e.hex() for e in edges} <= {t.hex() for t in thetas}
     want = [(k.label, theta.hex(), u.x.hex(), u.y.hex())
             for k in KleinIndex for theta in thetas
@@ -149,6 +153,18 @@ def test_sample_unit_hyperbolas_rows_are_euler_bits(capsys, lo, hi, n, edges):
     got = [(k, *(float(v).hex() for v in values))
            for k, *values in (line.split(",") for line in lines[1:])]
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(allow_nan=False, allow_infinity=False),
+       hi=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(2, 40))
+@example(lo=-3.0, hi=-1.2, n=4)
+@example(lo=-0.0, hi=1.0, n=2)
+def test_parse_range_starts_at_lo_and_ends_at_hi(lo, hi, n):
+    assume(math.isfinite(hi - lo))
+    step = (hi - lo) / (n - 1)
+    want = [lo, *(lo + i * step for i in range(1, n - 1)), hi]
+    assert [t.hex() for t in _parse_range(f"{lo!r}:{hi!r}:{n}")] == [t.hex() for t in want]
 
 
 def test_sample_cosh_e_gaps(capsys):
@@ -368,7 +384,27 @@ def test_classify_segment_whose_difference_overflows(capsys):
     assert code == 0
     data = strict_json(out)
     assert data["segment_kind"] == "second"
-    assert data["D"] is None
+    # neither D = -9e616 nor d = 3e308 fits a double: null in JSON, inf in CSV
+    assert data["D"] is None and data["d"] is None
+    code, out, _ = run_cli(capsys, "classify", "--segment", "0,-1.5e308", "0,1.5e308",
+                           "--format", "csv")
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert (row["D"], row["d"]) == ("-inf", "inf")
+
+
+@pytest.mark.parametrize("p, q, kind, D, d", [
+    ("-1.7e308,-1.7e308", "1.7e308,1.7e308", "null", 0.0, 0.0),
+    ("1.5e308,1.5e308", "-1.5e308,-1.5e308", "null", 0.0, 0.0),
+    # d = sqrt(2e308^2 - 1.8e308^2) = sqrt(0.76) 1e308 fits, D = 0.76e616 does not
+    ("-1e308,-0.9e308", "1e308,0.9e308", "first", None, math.sqrt(0.76) * 1e308),
+])
+def test_classify_segment_whose_d_fits_where_q_minus_p_does_not(capsys, p, q, kind, D, d):
+    code, out, err = run_cli(capsys, "classify", "--segment", p, q)
+    assert (code, err) == (0, "")
+    data = strict_json(out)
+    assert data["segment_kind"] == kind and data["D"] == D
+    assert data["d"] == pytest.approx(d, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("argv", [

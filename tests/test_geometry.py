@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -73,10 +74,20 @@ def test_midpoint_near_the_largest_double():
     (P(0, -1.5e308), P(0, 1.5e308), SegmentKind.SECOND),
     (P(-1.5e308, 0), P(1.5e308, 1), SegmentKind.FIRST),
     (P(1.5e308, 1.5e308), P(-1.5e308, -1.5e308), SegmentKind.NULL),
+    (P(-1.7e308, -1e308), P(1.7e308, 1.5e308), SegmentKind.FIRST),
 ])
 def test_segment_kind_where_the_difference_overflows(p, q, kind):
     # q - p overflows to inf, and inf is null against any finite component
     assert segment_kind(p, q) is kind
+    # D is the exact (qx - px)^2 - (qy - py)^2 rounded, inf where it does not fit;
+    # on the overflowed difference it was inf - inf or inf * 0, a NaN
+    dx, dy = Fraction(q.x) - Fraction(p.x), Fraction(q.y) - Fraction(p.y)
+    exact = dx * dx - dy * dy
+    try:
+        want = float(exact)
+    except OverflowError:
+        want = math.inf if exact > 0 else -math.inf
+    assert square_distance(p, q) == want
 
 
 def test_line_normalizes_direction():
@@ -180,6 +191,18 @@ def test_vertical_line_has_no_slope_form():
     assert line.contains(P(2, 57.0))
     with pytest.raises(InvalidInput):
         line.slope_intercept()
+
+
+@pytest.mark.parametrize("anchor, direction, message", [
+    (P(2, 0), H(0.0, 1.0), "vertical line has no slope-intercept form"),
+    (P(2, 3), H(1e-310, 1), "the slope and intercept (inf, -inf) do not fit a double"),
+    (P(2, 3), H(5e-324, 1), "the slope and intercept (inf, -inf) do not fit a double"),
+    (P(1e300, 0), H(1, 1e10), "the slope and intercept (10000000000.0, -inf) do not fit a double"),
+], ids=["vertical", "slope-overflows", "slope-of-the-least-subnormal", "intercept-overflows"])
+def test_slope_intercept_refuses_what_does_not_fit_a_double(anchor, direction, message):
+    with pytest.raises(InvalidInput) as info:
+        PELine(anchor, direction).slope_intercept()
+    assert str(info.value) == message
 
 
 def test_slope_intercept_roundtrip():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pseudoeuclid.angle import ExtendedAngle, KleinIndex, sinh_e
+from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex, sinh_e
 from pseudoeuclid.errors import (
     InvalidInput,
     NotOnHyperbola,
@@ -101,6 +101,26 @@ def test_sample_arm(second_kind):
         assert str(info.value) == "parameter range must be finite"
     assert second_kind.sample_arm(P1, -1.0, 1.0, 3) == [
         second_kind.point_at(ExtendedAngle(t, P1)) for t in (-1.0, 0.0, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-THETA_MAX, THETA_MAX), hi=st.floats(-THETA_MAX, THETA_MAX),
+       n=st.integers(1, 40), k=st.sampled_from(list(KleinIndex)))
+@example(lo=-3.0, hi=-1.2, n=4, k=P1)
+@example(lo=-0.0, hi=1.0, n=2, k=H1)
+def test_sample_arm_starts_at_lo_and_ends_at_hi(lo, hi, n, k):
+    hyp = EquilateralHyperbola(PointP(2.5, 1.5), 4.0 if k.kappa > 0 else -4.0)
+
+    def at(theta):
+        p = hyp.point_at(ExtendedAngle(theta, k))
+        return p.x.hex(), p.y.hex()
+
+    got = [(p.x.hex(), p.y.hex()) for p in hyp.sample_arm(k, lo, hi, n)]
+    assert len(got) == n and got[0] == at(lo)
+    if n > 1:
+        step = (hi - lo) / (n - 1)
+        assert got[-1] == at(hi)
+        assert got[1:-1] == [at(lo + i * step) for i in range(1, n - 1)]
 
 
 def test_chord_classification(second_kind, first_kind):

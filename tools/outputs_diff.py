@@ -261,6 +261,13 @@ def corpus():
         for phi in PHIS:
             for gap in ("1e-2", "0", "0.5", "nan"):
                 yield "sample", None, ["sample", "cosh-e", "--phi", phi, f"--gap-eps={gap}", *fmt]
+    # a range whose last sample lo + (n - 1) step rounds off hi, a range from -0.0,
+    # and a segment whose q - p overflows
+    for argv in (["sample", "unit-hyperbolas", "--theta=-3:-1.2:4"],
+                 ["sample", "unit-hyperbolas", "--theta=-0.0:1:3", "--format", "csv"],
+                 ["classify", "--segment", "1.5e308,1.5e308", "-1.5e308,-1.5e308"],
+                 ["classify", "--segment", "1.5e308,1.5e308", "-1.5e308,-1.5e308", "--format", "csv"]):
+        yield argv[0], None, argv
     for seed in range(10):
         for n in ("1", "4"):
             yield "check", None, ["check", "--seed", str(seed), "--n", n, *FORMATS[seed % 3]]
