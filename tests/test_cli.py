@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from pseudoeuclid import selftest
 from pseudoeuclid.angle import THETA_MAX, ExtendedAngle, KleinIndex
 from pseudoeuclid.cli import _parse_range, main
+from pseudoeuclid.errors import InvalidInput
 from pseudoeuclid.hypnum import euler
 from pseudoeuclid.tol import DEFAULT_NULL_EPS, set_null_eps
+from pseudoeuclid.triangle import Triangle
 
 LN2 = math.log(2.0)
 
@@ -525,22 +527,37 @@ def test_env_eps_that_leaves_nothing_to_draw_fails_check(monkeypatch, capsys, ep
 
 
 def test_env_eps_below_one_runs_check(monkeypatch, capsys):
-    # up to 0.5 the draws are not screened against the tolerance: at 0.5 the
-    # euler point of a drawn angle is null, and the suites whose draws the
-    # tolerance refuses fail with worst = inf while the report completes
+    # up to 0.5 the draws the tolerance calls null are drawn again: at 0.5 the
+    # euler point of most drawn angles is null, and every suite still passes
     monkeypatch.setenv("PSEUDOEUCLID_EPS", "0.5")
     try:
-        code, out, err = run_cli(capsys, "check", "--n", "2")
+        code, out, err = run_cli(capsys, "check", "--n", "300")
     finally:
         set_null_eps(DEFAULT_NULL_EPS)
-    assert code == 1
-    assert err == "check failed: angle-roundtrip, motion-invariance\n"
-    report = json.loads(out)
-    assert report["ok"] is False
-    assert report["failed"] == ["angle-roundtrip", "motion-invariance"]
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["ok"] is True and report["failed"] == []
+    assert report["checks"].keys() == selftest.THRESHOLDS.keys()
+
+
+def test_check_reports_a_refusal_inside_a_suite(monkeypatch, capsys):
+    # a refusal that no screen catches fails its suite with worst = inf, which
+    # JSON, having no Infinity, prints as null; the report still completes
+    check, calls = Triangle.law_of_cosines_check, []
+
+    def refuse_third(self):
+        calls.append(self)
+        if len(calls) == 3:
+            raise InvalidInput("refused")
+        return check(self)
+
+    monkeypatch.setattr(Triangle, "law_of_cosines_check", refuse_third)
+    code, out, err = run_cli(capsys, "check", "--n", "5")
+    assert (code, err) == (1, "check failed: law-of-cosines\n")
+    report = strict_json(out)
+    assert report["ok"] is False and report["failed"] == ["law-of-cosines"]
+    assert report["checks"]["law-of-cosines"]["worst"] is None
     assert len(report["checks"]) == len(selftest.THRESHOLDS)
-    # JSON has no Infinity: the inf worst prints as null
-    assert [report["checks"][name]["worst"] for name in report["failed"]] == [None, None]
 
 
 def test_subprocess_determinism():

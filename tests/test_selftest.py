@@ -14,7 +14,7 @@ from pseudoeuclid import selftest, triangle
 from pseudoeuclid.angle import ExtendedAngle, KleinIndex
 from pseudoeuclid.errors import DegenerateTriangle, InvalidInput, NullSide
 from pseudoeuclid.geometry import Motion, PointP
-from pseudoeuclid.hypnum import HyperbolicNumber, from_polar, to_polar
+from pseudoeuclid.hypnum import HyperbolicNumber, euler, from_polar, to_polar
 from pseudoeuclid.selftest import (
     ANGLE_RANGE,
     BOX,
@@ -65,25 +65,38 @@ def test_a_tolerance_that_leaves_nothing_to_draw_is_refused(eps):
         set_null_eps(before)
 
 
-def test_a_wide_tolerance_fails_suites_instead_of_ending_the_report():
-    # up to NULL_EPS_MAX the draws are not screened: a draw the tolerance calls null
-    # raises inside its suite, which then fails with worst = inf
-    before, failing = null_eps(), {}
+def test_a_wide_tolerance_redraws_and_passes_every_suite():
+    # up to NULL_EPS_MAX every draw the tolerance calls null is drawn again: an
+    # angle whose euler point is null, a triangle or a motion with a null side
+    before = null_eps()
     try:
-        for eps in (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+        for eps in (1e-9, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, NULL_EPS_MAX):
             set_null_eps(eps)
-            failing[eps] = 0
             for seed in range(50):
                 report = run_selftest(seed, 100)
-                assert isinstance(report["ok"], bool)
-                assert len(report["checks"]) == len(THRESHOLDS)
-                for name in report["failed"]:
-                    assert report["checks"][name]["worst"] == math.inf, (eps, seed, name)
-                failing[eps] += not report["ok"]
+                assert report["failed"] == [], (eps, seed, report["checks"])
     finally:
         set_null_eps(before)
-    # the narrowest tolerance refuses no draw; the widest refuses some
-    assert failing[1e-9] == 0 < failing[1e-2]
+
+
+def test_a_refusal_inside_a_suite_fails_only_that_suite(monkeypatch):
+    # the backstop: a refusal that no screen catches ends its suite with worst = inf,
+    # and the report still gives every suite its verdict; the law-of-cosines suite
+    # makes the first 50 calls of law_of_cosines_check, the projection suite the next 50
+    check, calls = Triangle.law_of_cosines_check, []
+
+    def refuse_25th(self):
+        calls.append(self)
+        if len(calls) == 25:
+            raise InvalidInput("refused")
+        return check(self)
+
+    monkeypatch.setattr(Triangle, "law_of_cosines_check", refuse_25th)
+    report = run_selftest(5, 50)
+    assert report["checks"]["law-of-cosines"]["worst"] == math.inf
+    assert report["failed"] == ["law-of-cosines"] and not report["ok"]
+    assert list(report["checks"]) == list(THRESHOLDS)
+    assert len(calls) == 75
 
 
 def _euclidean_angles(tri: Triangle) -> list[float]:
@@ -268,7 +281,7 @@ def test_angle_sum_cosh_target_does_not_depend_on_scale(k):
     # at 2^-200; the target -sign(D1 D2 D3) forms no product
     tri = random_triangle(random.Random(1))
     scaled = Triangle(*(PointP(math.ldexp(p.x, k), math.ldexp(p.y, k)) for p in tri.vertices))
-    assert list(_check_angle_sum_cosh([(scaled, scaled.elements())])) == [0.0]
+    assert list(_check_angle_sum_cosh([(scaled, scaled.elements(), scaled.angle_sum())])) == [0.0]
 
 
 def test_each_triangle_computes_its_angles_once(monkeypatch):
@@ -284,6 +297,58 @@ def test_each_triangle_computes_its_angles_once(monkeypatch):
     monkeypatch.setattr(triangle, "_angle_of", counted_angle_of)
     with counting_builds(Triangle) as built:
         run_selftest(5, 50)
-    # the suites ask each triangle for its elements up to 7 times
-    assert len(built) == 150
+    # the pool's triangles and their images under motion-invariance; the suites
+    # ask a pool triangle for its elements 5 times
+    assert len(built) == 100
     assert angles == 3 * len(built)
+
+
+def _counted(owner, name: str, calls: list):
+    """Record each call of owner.name in calls, as (first argument, result)."""
+    method = getattr(owner, name)
+
+    def counted(*args):
+        result = method(*args)
+        calls.append((args[0], result))
+        return result
+
+    return counted
+
+
+def test_check_draws_and_sums_each_pool_triangle_once(monkeypatch):
+    # test_each_triangle_computes_its_angles_once counts the triangles built
+    drawn, sums, cosines = [], [], []
+    monkeypatch.setattr(selftest, "random_triangle", _counted(selftest, "random_triangle", drawn))
+    monkeypatch.setattr(Triangle, "angle_sum", _counted(Triangle, "angle_sum", sums))
+    monkeypatch.setattr(Triangle, "law_of_cosines_check",
+                        _counted(Triangle, "law_of_cosines_check", cosines))
+    assert run_selftest(5, 50)["ok"]
+    assert len(drawn) == 50
+    assert [id(tri) for tri, _ in sums] == [id(tri) for _, tri in drawn]
+    # the law-of-cosines and projection suites each ask every pool triangle once
+    assert len(cosines) == 100
+
+
+def test_motion_invariance_moves_the_pool_in_order(monkeypatch):
+    drawn, moved = [], []
+    monkeypatch.setattr(selftest, "random_triangle", _counted(selftest, "random_triangle", drawn))
+    monkeypatch.setattr(Triangle, "transformed", _counted(Triangle, "transformed", moved))
+    run_selftest(5, 50)
+    # the very objects random_triangle returned, one motion each
+    assert len(drawn) == 50
+    assert [id(tri) for tri, _ in moved] == [id(tri) for _, tri in drawn]
+
+
+def test_no_draw_is_screened_at_the_default_tolerance(monkeypatch):
+    # nullness grows with |theta| (D / (x^2 + y^2) of the euler point is 1 / cosh 2 theta),
+    # so the widest angle drawn bounds every angle-roundtrip draw
+    for k in KleinIndex:
+        for theta in (-ANGLE_RANGE, ANGLE_RANGE):
+            u = euler(ExtendedAngle(theta, k))
+            _angle.from_point(u.x, u.y)
+    # motion-invariance draws one motion per pool triangle
+    motions = []
+    monkeypatch.setattr(selftest, "random_motion", _counted(selftest, "random_motion", motions))
+    for seed in range(10):
+        run_selftest(seed, 300)
+    assert len(motions) == 3000
